@@ -295,30 +295,32 @@ def _field_rows(config: JobConfig) -> tuple[list[str], list[dict[str, object]], 
     columns = ["x", "t", "value", "tag"]
     rows: list[dict[str, object]] = []
 
-    if config.command == "density":
-        units = {"x": "length", "t": "time", "value": "1/length"}
+    point_fields = {
+        "density": (
+            "1/length",
+            lambda x, t: (_clamp_density(density(x, t, state, sys_params, trunc), sys_params), "finite"),
+        ),
+        "velocity": (
+            "length/time",
+            lambda x, t: _sample_cell(velocity_field(x, t, state, sys_params, trunc)),
+        ),
+        "energy": (
+            "energy",
+            lambda x, t: _sample_cell(moments(x, t, state, sys_params, trunc).energy_density),
+        ),
+    }
+    if config.command in point_fields:
+        value_unit, cell = point_fields[config.command]
+        units = {"x": "length", "t": "time", "value": value_unit}
         for t in ts:
             for x in xs:
-                value = _clamp_density(density(float(x), float(t), state, sys_params, trunc), sys_params)
-                rows.append({"x": float(x), "t": float(t), "value": value, "tag": "finite"})
+                value, tag = cell(float(x), float(t))
+                rows.append({"x": float(x), "t": float(t), "value": value, "tag": tag})
     elif config.command == "averaged-density":
         units = {"x": "length", "value": "1/length"}
         for x in xs:
             value = _clamp_density(float(averaged_density(float(x), state, sys_params, trunc)), sys_params)
             rows.append({"x": float(x), "t": None, "value": value, "tag": "finite"})
-    elif config.command == "velocity":
-        units = {"x": "length", "t": "time", "value": "length/time"}
-        for t in ts:
-            for x in xs:
-                value, tag = _sample_cell(velocity_field(float(x), float(t), state, sys_params, trunc))
-                rows.append({"x": float(x), "t": float(t), "value": value, "tag": tag})
-    elif config.command == "energy":
-        units = {"x": "length", "t": "time", "value": "energy"}
-        for t in ts:
-            for x in xs:
-                sample = moments(float(x), float(t), state, sys_params, trunc).energy_density
-                value, tag = _sample_cell(sample)
-                rows.append({"x": float(x), "t": float(t), "value": value, "tag": tag})
     else:  # wigner
         columns = ["x", "t", "s", "momentum", "weight"]
         units = {

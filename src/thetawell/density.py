@@ -18,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DEFAULT_TRUNCATION, Truncation
-from .series import build_table, folded_sum
+from .series import _phase_coords, build_table, folded_sum
 from .wavefunction import (
     NATURAL_UNITS,
     QuantumState,
     SystemParams,
-    _odd_harmonics,
+    _check_domain,
     derived_scales,
-    scaled_norm_sum,
+    mode_table,
 )
 
 __all__ = [
@@ -78,22 +78,14 @@ def g_phase(
 ):
     """Characteristic phase pi*(2*mu*x/l + 1) - (pi*t/T_mu)*(n + k + 1), in radians.
 
-    Exact affine function of (x, t); broadcasts over array arguments.
+    Exact affine function of (x, t); broadcasts over array arguments.  The
+    same angle u - s*w that ``series.comb_rows`` evaluates for row s.
     """
-    scales = derived_scales(state, sys)
-    s = n + k + 1
-    val = math.pi * (2.0 * state.mu * np.asarray(x, dtype=float) / sys.l + 1.0) - (
-        math.pi / scales.T_mu * s
-    ) * np.asarray(t, dtype=float)
-    if np.ndim(val) == 0:
+    u, w, shape = _phase_coords(x, t, state, sys)
+    val = (u - (n + k + 1) * w).reshape(shape)
+    if val.ndim == 0:
         return float(val)
     return val
-
-
-def _check_domain(x, sys: SystemParams) -> None:
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0) or np.any(xa > sys.l):
-        raise ValueError(f"x outside the well domain [0, {sys.l}]")
 
 
 def density(
@@ -168,12 +160,11 @@ def averaged_density(
     of the level's sub-wells belong to the instantaneous ``density``.
     """
     _check_domain(x, sys)
-    m = _odd_harmonics(state.beta, trunc)
-    w = np.exp(-math.pi * state.beta / 2.0 * (m * m - 1.0))
+    modes = mode_table(state.beta, trunc)
     xa = np.asarray(x, dtype=float)
-    phases = np.multiply.outer(xa, m) * (math.pi * state.mu / sys.l)
+    phases = np.multiply.outer(xa, modes.m) * (math.pi * state.mu / sys.l)
     s2 = np.sin(phases) ** 2
-    val = 4.0 / (sys.l * scaled_norm_sum(state, trunc)) * (s2 @ w)
+    val = 4.0 / (sys.l * modes.norm) * (s2 @ modes.w)
     if np.ndim(val) == 0:
         return float(val)
     return val

@@ -38,6 +38,7 @@ from .wavefunction import (
     NATURAL_UNITS,
     QuantumState,
     SystemParams,
+    _check_domain,
     derived_scales,
 )
 
@@ -141,18 +142,12 @@ def flux(
     x; the wall boundary condition sets it to zero, which is the default.
     ``flow_constant`` overrides it for experimentation.  Broadcasts over x, t.
     """
-    _check_domain_scalar_or_array(x, sys)
+    _check_domain(x, sys)
     table = build_table(state, trunc)
     scales = derived_scales(state, sys)
     raw = folded_sum(table, x, t, state, sys, s_power=1, j_power=0, trig="cos")
     val = (scales.P_unit / sys.m) * raw / (sys.l * table.norm) + flow_constant
     return val
-
-
-def _check_domain_scalar_or_array(x, sys: SystemParams) -> None:
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0) or np.any(xa > sys.l):
-        raise ValueError(f"x outside the well domain [0, {sys.l}]")
 
 
 def wigner_comb(
@@ -168,7 +163,7 @@ def wigner_comb(
     coefficient is evaluated by the Chebyshev recurrence, a route independent
     of the direct harmonic sums behind ``density`` and ``flux``.
     """
-    _check_domain_scalar_or_array(x, sys)
+    _check_domain(x, sys)
     rows = comb_rows(x, t, state, sys, trunc)
     scales = derived_scales(state, sys)
     scale = 1.0 / (sys.hbar * sys.l * rows.norm)
@@ -306,7 +301,7 @@ def kinetic_energy_density(
     The integrand of every energy average; no division by the density, so
     walls and nodes are regular points.  Broadcasts over x and t.
     """
-    _check_domain_scalar_or_array(x, sys)
+    _check_domain(x, sys)
     table = build_table(state, trunc)
     scales = derived_scales(state, sys)
     raw = folded_sum(table, x, t, state, sys, s_power=2, j_power=0, trig="cos")
@@ -357,7 +352,7 @@ def continuity_residual(
     floating-point floor of the identity (order 1e-16 of the field scale).
     Broadcasts over x and t.
     """
-    _check_domain_scalar_or_array(x, sys)
+    _check_domain(x, sys)
     table = build_table(state, trunc)
     scales = derived_scales(state, sys)
     den = sys.l * table.norm

@@ -48,7 +48,8 @@ class TermTable:
 
     ``w`` holds the scaled Gaussian weight including the sign-fold
     multiplicity; ``norm`` is the scaled normalization sum
-    N(beta)/(l*exp(-pi*beta/2)); ``m_max`` = 2K+1 bounds |s| and |j|.
+    N(beta)/(l*exp(-pi*beta/2)); ``m_max`` = 2K+1 bounds |s| and |j|.  The
+    table is cached and shared, so its arrays are read-only.
     """
 
     sigma: np.ndarray
@@ -64,7 +65,6 @@ def build_table(state: QuantumState, trunc: Truncation = DEFAULT_TRUNCATION) -> 
 
 @functools.lru_cache(maxsize=64)
 def _cached_table(state: QuantumState, trunc: Truncation) -> TermTable:
-    # cached per (state, truncation); the arrays are treated as immutable
     cutoff = cutoff_for(state.beta, trunc)
     m_max = 2 * cutoff + 1
     sigmas, iotas = [], []
@@ -80,6 +80,8 @@ def _cached_table(state: QuantumState, trunc: Truncation) -> TermTable:
     w = fold * np.exp(
         -math.pi * state.beta / 2.0 * (sigma.astype(float) ** 2 + iota.astype(float) ** 2 - 1.0)
     )
+    for arr in (sigma, iota, w):
+        arr.flags.writeable = False
     return TermTable(
         sigma=sigma, iota=iota, w=w, m_max=m_max, norm=scaled_norm_sum(state, trunc)
     )
@@ -187,43 +189,44 @@ def comb_rows(
     Each row is sum_j W(s,j) T_|j|(cos G_s) with the polynomials expanded by
     the recurrence T_{n+1} = 2c T_n - T_{n-1}; an evaluation path independent
     of the direct cos(j*G_s) sums, used for two-route consistency checks.
+    All rows s = +-sigma advance through the recurrence together, one order
+    j at a time.
     """
     cutoff = cutoff_for(state.beta, trunc)
     m_max = 2 * cutoff + 1
     uf, wf, shape = _phase_coords(x, t, state, sys)
-    beta = state.beta
+    weights = _comb_weights(state.beta, m_max)
 
     sigmas = np.arange(m_max + 1)
-    plus = np.zeros((m_max + 1, uf.size))
-    minus = np.zeros((m_max + 1, uf.size))
-    for sg in range(m_max + 1):
-        j_lo = (sg + 1) % 2
-        j_hi = m_max - sg
-        weights = {
-            it: (2.0 if it > 0 else 1.0)
-            * math.exp(-math.pi * beta / 2.0 * (sg * sg + it * it - 1.0))
-            for it in range(j_lo, j_hi + 1, 2)
-        }
-        targets = (uf - sg * wf,) if sg == 0 else (uf - sg * wf, uf + sg * wf)
-        for which, ang in enumerate(targets):
-            c = np.cos(ang)
-            t_prev = np.ones_like(c)
-            t_cur = c.copy()
-            acc = np.zeros_like(c)
-            if 0 in weights:
-                acc += weights[0] * t_prev
-            if 1 in weights:
-                acc += weights[1] * t_cur
-            for it in range(2, j_hi + 1):
-                t_prev, t_cur = t_cur, 2.0 * c * t_cur - t_prev
-                if it in weights:
-                    acc += weights[it] * t_cur
-            (plus if which == 0 else minus)[sg] = acc
-    norm = scaled_norm_sum(state, trunc)
+    shift = np.multiply.outer(sigmas, wf)
+    c = np.cos(np.stack([uf - shift, uf + shift]))  # [0]: s = +sigma, [1]: s = -sigma
+    acc = weights[0][:, None] + weights[1][:, None] * c  # T_0 = 1, T_1 = c
+    t_prev, t_cur = 1.0, c
+    for j in range(2, m_max + 1):
+        t_prev, t_cur = t_cur, 2.0 * c * t_cur - t_prev
+        acc += weights[j][:, None] * t_cur
+    acc[1, 0] = 0.0  # the sigma = 0 row is counted once, in ``plus``
     return CombRows(
         sigmas=sigmas,
-        plus=plus.reshape((m_max + 1, *shape)),
-        minus=minus.reshape((m_max + 1, *shape)),
-        norm=norm,
+        plus=acc[0].reshape((m_max + 1, *shape)),
+        minus=acc[1].reshape((m_max + 1, *shape)),
+        norm=scaled_norm_sum(state, trunc),
         m_max=m_max,
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _comb_weights(beta: float, m_max: int) -> np.ndarray:
+    """Row weights W(sigma, j) indexed [j, sigma], zero off the lattice sigma + j odd.
+
+    Built with ``math.exp`` term by term; the zeros add exactly nothing to
+    the recurrence sums.
+    """
+    weights = np.zeros((m_max + 1, m_max + 1))
+    for sg in range(m_max + 1):
+        for it in range((sg + 1) % 2, m_max - sg + 1, 2):
+            weights[it, sg] = (2.0 if it > 0 else 1.0) * math.exp(
+                -math.pi * beta / 2.0 * (sg * sg + it * it - 1.0)
+            )
+    weights.flags.writeable = False
+    return weights

@@ -32,8 +32,8 @@ from .wavefunction import (
     NATURAL_UNITS,
     QuantumState,
     SystemParams,
-    _odd_harmonics,
     derived_scales,
+    mode_table,
     scaled_norm_sum,
 )
 
@@ -101,13 +101,6 @@ def _check_consistent(gp: GibbsParams, state: QuantumState, sys: SystemParams) -
         )
 
 
-def _scaled_mode_sums(state: QuantumState, trunc: Truncation) -> tuple[float, float]:
-    """(S0, S2): sums of exp(-(pi*beta/2)(m^2-1)) and m^2 * same, over odd m > 0."""
-    m = _odd_harmonics(state.beta, trunc)
-    w = np.exp(-math.pi * state.beta / 2.0 * (m * m - 1.0))
-    return float(np.sum(w)), float(np.sum(m * m * w))
-
-
 def partition(
     gp: GibbsParams,
     state: QuantumState,
@@ -122,7 +115,7 @@ def partition(
     """
     _check_consistent(gp, state, sys)
     scales = derived_scales(state, sys)
-    m = _odd_harmonics(state.beta, trunc)
+    m = mode_table(state.beta, trunc).m
     return 2.0 * float(np.sum(np.exp(-gp.beta_thermo * scales.E_mu * m * m)))
 
 
@@ -160,11 +153,9 @@ def gibbs_weights(
     reported wave numbers kappa = (pi*mu/l)(2k+1).
     """
     e_mu = _base_energy(gp, state)
-    m = _odd_harmonics(state.beta, trunc)
-    w_scaled = np.exp(-math.pi * state.beta / 2.0 * (m * m - 1.0))
-    norm = scaled_norm_sum(state, trunc)
+    modes = mode_table(state.beta, trunc)
     out: list[tuple[WaveNumberMode, float]] = []
-    for mm, ww in zip(m, w_scaled):
+    for mm, ww in zip(modes.m, modes.w):
         for k in (int((mm - 1) // 2), int(-(mm + 1) // 2)):
             two_k1 = 2 * k + 1
             mode = WaveNumberMode(
@@ -172,7 +163,7 @@ def gibbs_weights(
                 kappa=math.pi * state.mu * two_k1 / sys.l,
                 E_kappa=e_mu * float(mm * mm),
             )
-            out.append((mode, float(ww) / norm))
+            out.append((mode, float(ww) / modes.norm))
     return out
 
 
@@ -186,7 +177,8 @@ def mean_energy_gibbs(
     Equals minus the beta_thermo-derivative of ln Z; always >= E_mu and tends
     to E_mu as beta grows (only the two lowest modes survive).
     """
-    s0, s2 = _scaled_mode_sums(state, trunc)
+    modes = mode_table(state.beta, trunc)
+    s0, s2 = float(np.sum(modes.w)), float(np.sum(modes.m * modes.m * modes.w))
     return _base_energy(gp, state) * s2 / s0
 
 
@@ -202,7 +194,8 @@ def entropy(
     rather than a difference of large numbers.  Independent of mu and of the
     system units.
     """
-    s0, s2 = _scaled_mode_sums(state, trunc)
+    modes = mode_table(state.beta, trunc)
+    s0, s2 = float(np.sum(modes.w)), float(np.sum(modes.m * modes.m * modes.w))
     half_pi_beta = gp.beta_thermo * _base_energy(gp, state)  # pi*beta/2
     return half_pi_beta * (s2 / s0 - 1.0) + math.log(s0)
 
@@ -289,7 +282,7 @@ def avg_energy_profile(
 def _time_panels(state: QuantumState, trunc: Truncation) -> int:
     """Simpson panel count resolving every time harmonic of a quadratic moment."""
     table = build_table(state, trunc)
-    max_pair = int(np.max(table.sigma * table.iota)) if table.sigma.size else 1
+    max_pair = int(np.max(table.sigma * table.iota))
     return max(16, max_pair // 2 + 8)
 
 

@@ -32,8 +32,8 @@ from .phase_space import (
     velocity_from_vlasov,
     wigner_comb,
 )
-from .series import build_table
 from .thermo import (
+    _time_panels,
     double_avg_energy,
     entropy,
     entropy_from_factor,
@@ -50,6 +50,7 @@ from .wavefunction import (
     derived_scales,
     norm_constant,
     psi,
+    schrodinger_residual,
 )
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_check", "run_all_checks", "comb_window_masses"]
@@ -71,13 +72,6 @@ class CheckResult:
     measured: float
     tolerance: float
     detail: str
-
-
-def _time_panels(state: QuantumState, trunc: Truncation) -> int:
-    """Simpson panels resolving every time harmonic of a quadratic moment."""
-    table = build_table(state, trunc)
-    max_pair = int(np.max(table.sigma * table.iota))
-    return max(16, max_pair // 2 + 8)
 
 
 def _check_normalization(sys: SystemParams, trunc: Truncation) -> CheckResult:
@@ -115,7 +109,7 @@ def _check_schrodinger(sys: SystemParams, trunc: Truncation) -> CheckResult:
         x = float(rng.uniform(0.05 * sys.l, 0.95 * sys.l))
         t = float(rng.uniform(0.0, t_mu))
         amp = abs(psi(x, t, state, sys, trunc))
-        resid = _psi_residual(x, t, state, sys, trunc, h_x, h_t)
+        resid = schrodinger_residual(x, t, state, sys, h_x, h_t, trunc)
         worst = max(worst, resid / (scales.E_mu / sys.hbar * sys.hbar * amp))
     return CheckResult(
         name="schrodinger-residual",
@@ -124,24 +118,6 @@ def _check_schrodinger(sys: SystemParams, trunc: Truncation) -> CheckResult:
         tolerance=1e-5,
         detail="max residual / ((E_mu/hbar)*hbar*|psi|) at 50 random points, mu=1, beta=0.5",
     )
-
-
-def _psi_residual(
-    x: float,
-    t: float,
-    state: QuantumState,
-    sys: SystemParams,
-    trunc: Truncation,
-    h_x: float,
-    h_t: float,
-) -> float:
-    def wave(xx: float, tt: float) -> complex:
-        return psi(xx, tt, state, sys, trunc)
-
-    w_c = wave(x, t)
-    d2x = (wave(x + h_x, t) - 2.0 * w_c + wave(x - h_x, t)) / (h_x * h_x)
-    dt = (wave(x, t + h_t) - wave(x, t - h_t)) / (2.0 * h_t)
-    return abs(1j * sys.hbar * dt + sys.hbar**2 / (2.0 * sys.m) * d2x)
 
 
 def _check_density_identity(
@@ -481,7 +457,7 @@ def _check_entropy(sys: SystemParams, trunc: Truncation) -> CheckResult:
     return CheckResult(
         name="entropy",
         passed=passed,
-        measured=max(s20, mu_dev, second_law_rel),
+        measured=max(s20, mu_dev, second_law_rel, two_path),
         tolerance=1e-4,
         detail=(
             f"frozen value {s20:.3e} (<1e-8); strictly decreasing {monotone}; "

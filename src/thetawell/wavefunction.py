@@ -18,6 +18,7 @@ underflows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -32,6 +33,8 @@ __all__ = [
     "DerivedScales",
     "NATURAL_UNITS",
     "derived_scales",
+    "ModeTable",
+    "mode_table",
     "norm_constant",
     "psi",
     "stationary_psi",
@@ -96,10 +99,30 @@ def derived_scales(state: QuantumState, sys: SystemParams = NATURAL_UNITS) -> De
     return DerivedScales(eps_mu=eps, E_mu=e_mu, T_mu=t_mu, P_unit=p_unit)
 
 
-def _odd_harmonics(beta2: float, trunc: Truncation) -> np.ndarray:
-    """Positive odd harmonics 1, 3, ..., 2K+1 for weights exp(-(pi*beta2/2) m^2)."""
-    k = cutoff_for(2.0 * beta2, trunc)
-    return np.arange(1, 2 * k + 2, 2, dtype=float)
+@dataclass(frozen=True)
+class ModeTable:
+    """The state's Gibbs mode distribution, truncated and scaled by its leading term.
+
+    ``m`` holds the positive odd harmonics 1, 3, ..., 2K+1 with K chosen for
+    the weights exp(-(pi*beta/2) m^2); ``w`` holds exp(-(pi*beta/2)(m^2-1));
+    ``norm`` = 2 * sum(w) counts both signs of every harmonic.  The arrays are
+    read-only because the table is shared between callers.
+    """
+
+    m: np.ndarray
+    w: np.ndarray
+    norm: float
+
+
+@functools.lru_cache(maxsize=64)
+def mode_table(beta: float, trunc: Truncation = DEFAULT_TRUNCATION) -> ModeTable:
+    """The cached odd-mode table for width beta; independent of mu and units."""
+    k = cutoff_for(2.0 * beta, trunc)
+    m = np.arange(1, 2 * k + 2, 2, dtype=float)
+    w = np.exp(-math.pi * beta / 2.0 * (m * m - 1.0))
+    m.flags.writeable = False
+    w.flags.writeable = False
+    return ModeTable(m=m, w=w, norm=2.0 * float(np.sum(w)))
 
 
 def scaled_norm_sum(state: QuantumState, trunc: Truncation = DEFAULT_TRUNCATION) -> float:
@@ -107,8 +130,7 @@ def scaled_norm_sum(state: QuantumState, trunc: Truncation = DEFAULT_TRUNCATION)
 
     Always >= 2 and representable for any beta, unlike raw N(beta).
     """
-    m = _odd_harmonics(state.beta, trunc)
-    return 2.0 * float(np.sum(np.exp(-math.pi * state.beta / 2.0 * (m * m - 1.0))))
+    return mode_table(state.beta, trunc).norm
 
 
 def norm_constant(
@@ -123,9 +145,11 @@ def norm_constant(
     return sys.l * math.exp(-math.pi * state.beta / 2.0) * scaled_norm_sum(state, trunc)
 
 
-def _check_x(x: float, sys: SystemParams) -> None:
-    if not (0.0 <= x <= sys.l):
-        raise ValueError(f"x={x!r} outside the well domain [0, {sys.l}]")
+def _check_domain(x, sys: SystemParams) -> None:
+    """Raise ValueError unless every x lies in the closed well [0, l]."""
+    xa = np.asarray(x, dtype=float)
+    if not np.all((xa >= 0.0) & (xa <= sys.l)):
+        raise ValueError(f"x outside the well domain [0, {sys.l}]")
 
 
 def psi(
@@ -140,7 +164,7 @@ def psi(
     Boundary evaluations return the raw series value, which cancels to the
     truncation floor rather than being forced to exactly 0.
     """
-    _check_x(x, sys)
+    _check_domain(x, sys)
     mu, beta = state.mu, state.beta
     z = mu * x / sys.l
     tau_re = -(mu**2) * (2.0 * math.pi * sys.hbar / (sys.m * sys.l**2)) * t
@@ -169,7 +193,7 @@ def stationary_psi(
     The large-beta limit of ``psi`` up to a constant phase; used as a
     comparator in residual checks.
     """
-    _check_x(x, sys)
+    _check_domain(x, sys)
     scales = derived_scales(state, sys)
     amp = math.sqrt(2.0 / sys.l) * math.sin(math.pi * state.mu * x / sys.l)
     return amp * complex(np.exp(-1j * scales.E_mu * t / sys.hbar))

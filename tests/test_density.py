@@ -16,12 +16,13 @@ from thetawell.density import (
     period,
     stationary_density,
 )
-from thetawell.numerics import finite_diff, integrate
-from thetawell.series import comb_rows
+from thetawell.numerics import cutoff_for, finite_diff, integrate
+from thetawell.series import _comb_weights, build_table, comb_rows
 from thetawell.wavefunction import (
     NATURAL_UNITS,
     QuantumState,
     derived_scales,
+    mode_table,
     norm_constant,
     psi,
 )
@@ -95,6 +96,8 @@ def test_density_domain_check():
         density(1.2, 0.0, state)
     with pytest.raises(ValueError):
         density(np.array([0.2, -0.4]), 0.0, state)
+    with pytest.raises(ValueError):
+        density(np.array([0.2, np.nan]), 0.0, state)
 
 
 def test_stationary_density_shape():
@@ -177,6 +180,69 @@ def test_zero_speed_component_is_static():
     static0 = rows0.plus[0] + rows0.minus[0]
     static1 = rows1.plus[0] + rows1.minus[0]
     assert static1 == pytest.approx(static0, abs=1e-15)
+
+
+def per_row_comb(x, t, state, sys=NATURAL_UNITS):
+    """Comb rows one row and one sign at a time, each with its own recurrence."""
+    m_max = 2 * cutoff_for(state.beta) + 1
+    u = math.pi * (2.0 * state.mu * x / sys.l + 1.0)
+    w = math.pi / derived_scales(state, sys).T_mu * t
+    rows = np.zeros((2, m_max + 1))
+    for sg in range(m_max + 1):
+        for sign in ((1,) if sg == 0 else (1, -1)):
+            c = float(np.cos(u - sign * sg * w))
+            t_prev, t_cur = 1.0, c
+            acc = 0.0
+            for it in range(m_max - sg + 1):
+                if it >= 2:
+                    t_prev, t_cur = t_cur, 2.0 * c * t_cur - t_prev
+                if (sg + it) % 2 == 1:
+                    weight = math.exp(-math.pi * state.beta / 2.0 * (sg * sg + it * it - 1.0))
+                    acc += (2.0 if it > 0 else 1.0) * weight * (1.0 if it == 0 else t_cur)
+            rows[0 if sign == 1 else 1, sg] = acc
+    return rows
+
+
+@pytest.mark.parametrize("mu,beta", [(1, 0.5), (2, 0.05)])
+def test_comb_rows_match_per_row_reference(mu, beta):
+    state = QuantumState(mu, beta)
+    t_mu = period(state)
+    for x, t in ((0.0, 0.0), (0.37, 0.29 * t_mu), (0.81, 0.6 * t_mu), (1.0, 0.05 * t_mu)):
+        rows = comb_rows(x, t, state)
+        want = per_row_comb(x, t, state)
+        assert np.array_equal(rows.plus, want[0])
+        assert np.array_equal(rows.minus, want[1])
+
+
+def test_comb_rows_grid_small_beta():
+    # beta = 1e-3 needs K = 101: 204 rows, each a Chebyshev sum of order up to 203
+    state = QuantumState(1, 1e-3)
+    t_mu = period(state)
+    xs = np.linspace(0.05, 0.95, 5)
+    ts = np.array([0.0, 0.13, 0.58]) * t_mu
+    rows = comb_rows(xs[:, None], ts[None, :], state)
+    assert rows.plus.shape == rows.minus.shape == (rows.m_max + 1, xs.size, ts.size)
+    for i, x in enumerate(xs):
+        for j, t in enumerate(ts):
+            point = comb_rows(float(x), float(t), state)
+            assert np.array_equal(point.plus, rows.plus[:, i, j])
+            assert np.array_equal(point.minus, rows.minus[:, i, j])
+    marginal = NATURAL_UNITS.hbar * (rows.plus.sum(axis=0) + rows.minus.sum(axis=0))
+    marginal /= NATURAL_UNITS.l * rows.norm
+    want = density(xs[:, None], ts[None, :], state)
+    assert np.max(np.abs(marginal - want)) < 1e-10
+
+
+def test_cached_tables_are_read_only():
+    state = QuantumState(1, 0.1)
+    before = density(0.3, 0.02, state)
+    table = build_table(state)
+    modes = mode_table(state.beta)
+    weights = _comb_weights(state.beta, 2 * cutoff_for(state.beta) + 1)
+    for arr in (table.sigma, table.iota, table.w, modes.m, modes.w, weights):
+        with pytest.raises(ValueError):
+            arr[0] *= 2
+    assert density(0.3, 0.02, state) == before
 
 
 def test_density_derivatives_match_finite_differences():
