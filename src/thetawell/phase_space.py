@@ -7,10 +7,13 @@ transported freely, C_s(x, t) = C_s(x - (P_s/m) t, 0), so all velocity moments
 are exact finite sums and the hydrodynamic conservation laws close without
 approximation.
 
-Two independent evaluation routes exist for each moment: the direct folded
-harmonic series (via ``series.folded_sum``) and the per-atom Chebyshev route
-(via ``series.comb_rows``).  ``velocity_field`` and ``velocity_from_vlasov``
-expose one of each for cross-checking.
+Every moment is a bilinear form in the wavefunction and its x-derivatives
+(``wavefunction.psi_jet``, O(K) per point): M0 = |psi|^2, the flux
+(hbar/m) Im(psi* psi'), and so on.  Two independent routes check them: the
+per-atom Chebyshev route (``series.comb_rows``), which ``velocity_from_vlasov``
+takes against ``velocity_field``, and the folded double series
+(``series.folded_sum``), from which ``pressure_gradient`` and the flux side of
+``continuity_residual`` are built.
 
 Fields that divide by the density carry a ``FieldTag``: below the density
 floor (walls, nodes) they are node-undefined or poles instead of fake large
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import density, density_derivatives
+from .density import _im, _re, _unbox, density
 from .numerics import (
     DEFAULT_TRUNCATION,
     FieldSample,
@@ -40,6 +43,8 @@ from .wavefunction import (
     SystemParams,
     _check_domain,
     derived_scales,
+    psi_jet,
+    scaled_norm_sum,
 )
 
 __all__ = [
@@ -119,15 +124,6 @@ class MomentSet:
     energy_density: FieldSample
 
 
-def _raw_moment_sums(x, t, state, sys, trunc, powers):
-    table = build_table(state, trunc)
-    den = sys.l * table.norm
-    return [
-        folded_sum(table, x, t, state, sys, s_power=a, j_power=0, trig="cos") / den
-        for a in powers
-    ]
-
-
 def flux(
     x,
     t,
@@ -140,14 +136,12 @@ def flux(
 
     The continuity equation fixes the flux only up to an additive constant in
     x; the wall boundary condition sets it to zero, which is the default.
-    ``flow_constant`` overrides it for experimentation.  Broadcasts over x, t.
+    ``flow_constant`` overrides it for experimentation.  Evaluated as
+    (hbar/m) Im(psi* psi') from an order-1 ``psi_jet``.  Broadcasts over x, t.
     """
-    _check_domain(x, sys)
-    table = build_table(state, trunc)
-    scales = derived_scales(state, sys)
-    raw = folded_sum(table, x, t, state, sys, s_power=1, j_power=0, trig="cos")
-    val = (scales.P_unit / sys.m) * raw / (sys.l * table.norm) + flow_constant
-    return val
+    p0, p1 = psi_jet(x, t, state, sys, trunc, order=1)
+    den = sys.l * scaled_norm_sum(state, trunc)
+    return _unbox(sys.hbar / sys.m * _im(p0, p1) / den + flow_constant)
 
 
 def wigner_comb(
@@ -161,7 +155,7 @@ def wigner_comb(
 
     Atoms are returned for every label |s| <= 2K + 1, ordered by s.  Each
     coefficient is evaluated by the Chebyshev recurrence, a route independent
-    of the direct harmonic sums behind ``density`` and ``flux``.
+    of the psi jet behind ``density`` and ``flux``.
     """
     _check_domain(x, sys)
     rows = comb_rows(x, t, state, sys, trunc)
@@ -213,7 +207,7 @@ def velocity_field(
     sys: SystemParams = NATURAL_UNITS,
     trunc: Truncation = DEFAULT_TRUNCATION,
 ) -> FieldSample:
-    """Mean velocity of probability flow, flux / density, via the direct series.
+    """Mean velocity of probability flow, flux / density, via the psi jet.
 
     Node-undefined where the density is below the floor (walls and instantaneous
     nodes); the flow limit exists there but the ratio itself does not.
@@ -269,14 +263,19 @@ def moments(
     with <v> = flux/density, replaced by the probed flow limit where the
     density is below the floor.  The mean energy (m/2) M2 / f is tagged as a
     pole there instead.
+
+    The raw moments are bilinear forms of one order-3 ``psi_jet``, over the
+    norm: f = |psi|^2, M1 = (hbar/m) Im(psi* psi'),
+    M2 = (hbar^2/2m^2)(|psi'|^2 - Re(psi* psi'')) and
+    M3 = -(hbar^3/4m^3)(Im(psi* psi''') - 3 Im(psi'* psi'')).
     """
-    scales = derived_scales(state, sys)
-    s0, s1, s2, s3 = _raw_moment_sums(x, t, state, sys, trunc, (0, 1, 2, 3))
-    vu = scales.P_unit / sys.m
-    f = s0
-    phi = vu * s1
-    m2 = vu**2 * s2
-    m3 = vu**3 * s3
+    p0, p1, p2, p3 = psi_jet(x, t, state, sys, trunc, order=3)
+    den = sys.l * scaled_norm_sum(state, trunc)
+    hm = sys.hbar / sys.m
+    f = float(_re(p0, p0)) / den
+    phi = hm * float(_im(p0, p1)) / den
+    m2 = 0.5 * hm * hm * float(_re(p1, p1) - _re(p0, p2)) / den
+    m3 = -0.25 * hm**3 * float(_im(p0, p3) - 3.0 * _im(p1, p2)) / den
     floor = _floor_for(sys)
     if f >= floor:
         v = phi / f
@@ -299,13 +298,13 @@ def kinetic_energy_density(
     """Kinetic energy per unit length, f * <E> = (m/2) M2; finite everywhere.
 
     The integrand of every energy average; no division by the density, so
-    walls and nodes are regular points.  Broadcasts over x and t.
+    walls and nodes are regular points.  Evaluated as
+    (hbar^2/4m)(|psi'|^2 - Re(psi* psi'')) from an order-2 ``psi_jet``.
+    Broadcasts over x and t.
     """
-    _check_domain(x, sys)
-    table = build_table(state, trunc)
-    scales = derived_scales(state, sys)
-    raw = folded_sum(table, x, t, state, sys, s_power=2, j_power=0, trig="cos")
-    return scales.E_mu * raw / (sys.l * table.norm)
+    p0, p1, p2 = psi_jet(x, t, state, sys, trunc, order=2)
+    den = sys.l * scaled_norm_sum(state, trunc)
+    return _unbox(sys.hbar**2 / (4.0 * sys.m) * (_re(p1, p1) - _re(p0, p2)) / den)
 
 
 def pressure_gradient(
@@ -317,19 +316,24 @@ def pressure_gradient(
 ) -> FieldSample:
     """Analytic d P11 / dx, term-wise exact (no finite differences).
 
-    Differentiates P11 = m (M2 - flux^2 / f) with every ingredient evaluated
-    by its own term-wise derivative series.  Node-undefined below the density
-    floor, where the central moment has no center.
+    Differentiates P11 = m (M2 - flux^2 / f) with every ingredient, f and f'
+    included, evaluated by its own term-wise derivative of the folded double
+    series; nothing comes from ``psi_jet``, so the momentum-law check's
+    comparison with the quantum-potential gradient (built on the jet) compares
+    two routes.  Node-undefined below the density floor, where the central
+    moment has no center.
     """
+    _check_domain(x, sys)
     table = build_table(state, trunc)
     scales = derived_scales(state, sys)
     den = sys.l * table.norm
     vu = scales.P_unit / sys.m
     ux = 2.0 * math.pi * state.mu / sys.l
 
-    f, f1, _, _ = density_derivatives(x, t, state, sys, trunc)
+    f = folded_sum(table, x, t, state, sys, s_power=0, j_power=0, trig="cos") / den
     if f < _floor_for(sys):
         return FieldSample(math.nan, FieldTag.NODE_UNDEFINED)
+    f1 = -ux * folded_sum(table, x, t, state, sys, s_power=0, j_power=1, trig="sin") / den
     phi = vu * folded_sum(table, x, t, state, sys, s_power=1, j_power=0, trig="cos") / den
     phi1 = -vu * ux * folded_sum(table, x, t, state, sys, s_power=1, j_power=1, trig="sin") / den
     m2_1 = (
@@ -346,20 +350,21 @@ def continuity_residual(
     sys: SystemParams = NATURAL_UNITS,
     trunc: Truncation = DEFAULT_TRUNCATION,
 ):
-    """|d f/dt + d flux/dx| with both derivatives term-wise analytic.
+    """|d f/dt + d flux/dx| with both derivatives analytic, from two routes.
 
-    The two series cancel term by term, so the residual measures only the
-    floating-point floor of the identity (order 1e-16 of the field scale).
-    Broadcasts over x and t.
+    d f/dt = -(hbar/m) Im(psi* psi'') comes from an order-2 ``psi_jet`` (the
+    Schrodinger equation turns the time derivative into psi''); d flux/dx is
+    the term-wise derivative of the folded double series.  A wrong series on
+    either side leaves a residual; correct ones agree to the floating-point
+    floor (order 1e-13 of the field scale).  Broadcasts over x and t.
     """
-    _check_domain(x, sys)
+    p0, _, p2 = psi_jet(x, t, state, sys, trunc, order=2)
     table = build_table(state, trunc)
     scales = derived_scales(state, sys)
     den = sys.l * table.norm
     ux = 2.0 * math.pi * state.mu / sys.l
 
-    core_t = folded_sum(table, x, t, state, sys, s_power=1, j_power=1, trig="sin")
-    df_dt = (math.pi / scales.T_mu) * core_t / den
+    df_dt = -(sys.hbar / sys.m) * _im(p0, p2) / den
     core_x = folded_sum(table, x, t, state, sys, s_power=1, j_power=1, trig="sin")
     dflux_dx = -(scales.P_unit / sys.m) * ux * core_x / den
     return np.abs(df_dt + dflux_dx)

@@ -1,4 +1,10 @@
-"""Gaussian-weighted harmonic tables behind every space-time field.
+"""Gaussian-weighted harmonic tables: the folded double series and the comb rows.
+
+The fields themselves come from ``wavefunction.psi_jet`` in O(K) per point.
+The O(K^2) double series here are kept as independent oracles: the
+density-identity, continuity and momentum-law checks compare the jet against
+``folded_sum``, and ``comb_rows`` is the Chebyshev route of the phase-space
+comb.
 
 All densities and moments here are lattice sums over index pairs (n, k) with
 weights exp(-(pi*beta/4)[(2n+1)^2 + (2k+1)^2]) and phases built from
@@ -32,7 +38,7 @@ from .wavefunction import (
     NATURAL_UNITS,
     QuantumState,
     SystemParams,
-    derived_scales,
+    _phase_coords,
     scaled_norm_sum,
 )
 
@@ -85,18 +91,6 @@ def _cached_table(state: QuantumState, trunc: Truncation) -> TermTable:
     return TermTable(
         sigma=sigma, iota=iota, w=w, m_max=m_max, norm=scaled_norm_sum(state, trunc)
     )
-
-
-def _phase_coords(x, t, state: QuantumState, sys: SystemParams):
-    """Flattened u = pi*(2*mu*x/l + 1), w = (pi/T_mu)*t, and their broadcast shape."""
-    scales = derived_scales(state, sys)
-    xa = np.asarray(x, dtype=float)
-    ta = np.asarray(t, dtype=float)
-    u = math.pi * (2.0 * state.mu * xa / sys.l + 1.0)
-    w = math.pi / scales.T_mu * ta
-    u, w = np.broadcast_arrays(u, w)
-    shape = np.shape(u)
-    return np.ravel(u), np.ravel(w), shape
 
 
 def folded_sum(

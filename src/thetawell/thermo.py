@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import averaged_density, density_derivatives
-from .numerics import DEFAULT_TRUNCATION, FieldSample, FieldTag, Truncation, integrate
+from .numerics import DEFAULT_TRUNCATION, FieldSample, FieldTag, Truncation, cutoff_for, integrate
 from .phase_space import DENSITY_FLOOR, kinetic_energy_density
-from .series import build_table
 from .theta import ThetaArgs, theta_char
 from .wavefunction import (
     NATURAL_UNITS,
@@ -226,8 +225,8 @@ def quantum_potential(
 ) -> FieldSample:
     """Quantum potential Q = -(hbar^2/2m) (sqrt f)'' / sqrt f, from analytic derivatives.
 
-    Evaluated as -(hbar^2/2m)[f''/(2f) - (f')^2/(4f^2)] with term-wise series
-    derivatives; tagged pole where the density is below the floor.  In the
+    Evaluated as -(hbar^2/2m)[f''/(2f) - (f')^2/(4f^2)] with the analytic
+    derivatives of ``density_derivatives``; tagged pole where the density is below the floor.  In the
     frozen limit Q tends to the level energy at every interior non-node point.
     """
     f, f1, f2, _ = density_derivatives(x, t, state, sys, trunc)
@@ -280,10 +279,13 @@ def avg_energy_profile(
 
 
 def _time_panels(state: QuantumState, trunc: Truncation) -> int:
-    """Simpson panel count resolving every time harmonic of a quadratic moment."""
-    table = build_table(state, trunc)
-    max_pair = int(np.max(table.sigma * table.iota))
-    return max(16, max_pair // 2 + 8)
+    """Simpson panel count resolving every time harmonic of a quadratic moment.
+
+    The highest harmonic is max s*j over the folded diamond s + j <= 2K + 1
+    with s + j odd, which is K(K + 1) at s = K, j = K + 1.
+    """
+    k = cutoff_for(state.beta, trunc)
+    return max(16, k * (k + 1) // 2 + 8)
 
 
 def double_avg_energy(

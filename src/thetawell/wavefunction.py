@@ -37,6 +37,7 @@ __all__ = [
     "mode_table",
     "norm_constant",
     "psi",
+    "psi_jet",
     "stationary_psi",
     "schrodinger_residual",
     "schrodinger_residual_of",
@@ -147,9 +148,109 @@ def norm_constant(
 
 def _check_domain(x, sys: SystemParams) -> None:
     """Raise ValueError unless every x lies in the closed well [0, l]."""
-    xa = np.asarray(x, dtype=float)
-    if not np.all((xa >= 0.0) & (xa <= sys.l)):
+    if isinstance(x, float):
+        inside = 0.0 <= x <= sys.l
+    else:
+        xa = np.asarray(x, dtype=float)
+        inside = np.all((xa >= 0.0) & (xa <= sys.l))
+    if not inside:
         raise ValueError(f"x outside the well domain [0, {sys.l}]")
+
+
+def _phase_coords(x, t, state: QuantumState, sys: SystemParams):
+    """Flattened u = pi*(2*mu*x/l + 1), w = (pi/T_mu)*t, and their broadcast shape."""
+    scales = derived_scales(state, sys)
+    if isinstance(x, float) and isinstance(t, float):  # the same arithmetic, unboxed
+        u = math.pi * (2.0 * state.mu * x / sys.l + 1.0)
+        return np.array([u]), np.array([math.pi / scales.T_mu * t]), ()
+    xa = np.asarray(x, dtype=float)
+    ta = np.asarray(t, dtype=float)
+    u = math.pi * (2.0 * state.mu * xa / sys.l + 1.0)
+    w = math.pi / scales.T_mu * ta
+    u, w = np.broadcast_arrays(u, w)
+    shape = np.shape(u)
+    return np.ravel(u), np.ravel(w), shape
+
+
+# points x modes per psi_jet chunk: its work arrays (eighteen of this size
+# at order 3, 18 MiB) stay within folded_sum's two arrays of 1 << 21 (32 MiB)
+_JET_BUDGET = 1 << 17
+
+
+@functools.lru_cache(maxsize=64)
+def _jet_table(
+    beta: float, trunc: Truncation, mu: int, l: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The psi jet's angle factors m/2, -m^2/4 and weights over positive odd m.
+
+    Row k of the weights (orders k = 0..3) holds c_k * 2 m^k exp(-(pi*beta/4)(m^2-1)) with
+    c = (1, -kx, -kx^2, kx^3) and kx = pi*mu/l: the amplitude, the factor 2
+    that folds the harmonic -m into m, and the real factor left of
+    (i kx m)^k once the odd orders' 2i sin((u/2) m) is taken out.
+    Read-only, shared by callers.
+    """
+    k = cutoff_for(beta, trunc)
+    m = np.arange(1, 2 * k + 2, 2, dtype=float)
+    amp = 2.0 * np.exp(-math.pi * beta / 4.0 * (m * m - 1.0))
+    kx = math.pi * mu / l
+    c = np.array([1.0, -kx, -kx * kx, kx * kx * kx])
+    weights = c[:, None] * (amp * m ** np.arange(4)[:, None])
+    half_m, quarter_m2 = m / 2.0, m * m / -4.0
+    for arr in (half_m, quarter_m2, weights):
+        arr.flags.writeable = False
+    return half_m, quarter_m2, weights
+
+
+def psi_jet(
+    x,
+    t,
+    state: QuantumState,
+    sys: SystemParams = NATURAL_UNITS,
+    trunc: Truncation = DEFAULT_TRUNCATION,
+    order: int = 0,
+) -> np.ndarray:
+    """The scaled wavefunction and its first ``order`` x-derivatives, order <= 3.
+
+    Returns a complex array of shape (order + 1, *broadcast shape of x, t):
+    entry k is d^k/dx^k of the theta series sum_m exp(-(pi*beta/4)(m^2-1))
+    exp(i(u/2) m - i(w/4) m^2) over odd m of both signs, with
+    u = pi*(2*mu*x/l + 1) and w = (pi/T_mu)*t.  Divide bilinear forms by
+    l * scaled_norm_sum (or psi itself by its square root) to normalize.
+    One O(K) sum per point, with K from ``cutoff_for(beta)``.
+
+    The harmonics m and -m are summed as one term, 2 cos or 2i sin of
+    (u/2) m, so psi is exactly real at t = 0 and the flux vanishes there
+    exactly.  Each point is reduced by a row sum over the modes, never a
+    matrix product, so a grid call equals per-point calls bit for bit.
+    """
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"order must be 0, 1, 2 or 3, got {order!r}")
+    _check_domain(x, sys)
+    half_m, quarter_m2, weights = _jet_table(state.beta, trunc, state.mu, sys.l)
+    n_modes = half_m.size
+    uf, wf, shape = _phase_coords(x, t, state, sys)
+    n = order + 1
+    out = np.empty((uf.size, n), dtype=complex)
+    chunk = max(1, _JET_BUDGET // n_modes)
+    for lo in range(0, uf.size, chunk):
+        hi = min(lo + chunk, uf.size)
+        p = hi - lo
+        # angles [-(w/4) m^2, (u/2) m]; cos and sin of both in one call each
+        ang = np.empty((p, 2, n_modes))
+        np.multiply(wf[lo:hi, None], quarter_m2, out=ang[:, 0])
+        np.multiply(uf[lo:hi, None], half_m, out=ang[:, 1])
+        trig = np.empty((p, 2, 2, n_modes))
+        np.cos(ang, out=trig[:, 0])
+        np.sin(ang, out=trig[:, 1])
+        rot = trig[:, :, 0]  # cos and -sin of (w/4) m^2: exp(-i(w/4) m^2)
+        xs = trig[:, :, 1]  # cos and sin of (u/2) m: even and odd orders
+        if n <= 2:
+            xw = xs[:, :n] * weights[:n]
+        else:
+            xw = (xs[:, None] * weights.reshape(2, 2, n_modes)).reshape(p, 4, n_modes)[:, :n]
+        sums = np.add.reduce(xw[:, :, None, :] * rot[:, None, :, :], axis=-1)
+        out[lo:hi] = sums.view(complex)[..., 0]
+    return out.T.reshape((n, *shape))
 
 
 def psi(
@@ -161,24 +262,11 @@ def psi(
 ) -> complex:
     """The wavefunction at (x, t), normalized so the probability on [0, l] is 1.
 
+    The order-0 ``psi_jet`` over the square root of l * scaled_norm_sum.
     Boundary evaluations return the raw series value, which cancels to the
     truncation floor rather than being forced to exactly 0.
     """
-    _check_domain(x, sys)
-    mu, beta = state.mu, state.beta
-    z = mu * x / sys.l
-    tau_re = -(mu**2) * (2.0 * math.pi * sys.hbar / (sys.m * sys.l**2)) * t
-
-    cutoff = cutoff_for(beta, trunc)
-    m = np.arange(1, 2 * cutoff + 2, 2, dtype=float)
-    m = np.concatenate([m, -m])  # odd harmonics of both signs, center-out
-    # scaled by exp(+pi*beta/4): weight exp(-(pi*beta/4)(m^2-1)) stays representable
-    exponent = (
-        1j * math.pi * tau_re / 4.0 * m * m
-        - math.pi * beta / 4.0 * (m * m - 1.0)
-        + 1j * math.pi / 2.0 * (2.0 * z + 1.0) * m
-    )
-    theta_scaled = complex(np.sum(np.exp(exponent)))
+    theta_scaled = complex(psi_jet(x, t, state, sys, trunc)[0])
     return theta_scaled / math.sqrt(sys.l * scaled_norm_sum(state, trunc))
 
 

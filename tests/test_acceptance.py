@@ -13,10 +13,12 @@ bounded by 2/l, so it is bounded by 2/l for every beta and its window mass
 tends to the flat-mixture value 1/5.
 """
 
+import sys
 import time
 
 import numpy as np
 
+from thetawell import series
 from thetawell.density import averaged_density, period
 from thetawell.phase_space import moments, velocity_field
 from thetawell.verification import comb_window_masses, run_check
@@ -127,3 +129,24 @@ def test_initial_density_comb_concentration():
         state = QuantumState(mu=1, beta=beta)
         sup = max(averaged_density(float(x), state) for x in state_grid)
         assert sup <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("name", ["density-identity", "continuity", "momentum-law"])
+def test_folded_oracle_is_live(name, monkeypatch):
+    """Scaling the folded series by 1 + 1e-4 must fail each check that uses it as oracle.
+
+    The fields come from the psi jet, so the scaled oracle no longer cancels
+    against the other side; 1e-4 clears the Madelung sub-check's 1e-6.
+    """
+    real = series.folded_sum
+
+    def scaled(*args, **kwargs):
+        return real(*args, **kwargs) * (1.0 + 1e-4)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("thetawell") and (
+            getattr(module, "folded_sum", None) is real
+        ):
+            monkeypatch.setattr(module, "folded_sum", scaled)
+    r = run_check(name)
+    assert not r.passed, r.detail

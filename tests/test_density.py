@@ -17,14 +17,18 @@ from thetawell.density import (
     stationary_density,
 )
 from thetawell.numerics import cutoff_for, finite_diff, integrate
-from thetawell.series import _comb_weights, build_table, comb_rows
+from thetawell.phase_space import flux, kinetic_energy_density, moments
+from thetawell.series import _comb_weights, build_table, comb_rows, folded_sum
 from thetawell.wavefunction import (
+    _JET_BUDGET,
     NATURAL_UNITS,
     QuantumState,
     derived_scales,
     mode_table,
     norm_constant,
     psi,
+    psi_jet,
+    scaled_norm_sum,
 )
 
 
@@ -261,3 +265,93 @@ def test_period_value():
     scales = derived_scales(state)
     assert period(state) == scales.T_mu
     assert period(state) == pytest.approx(1.0 / (8.0 * math.pi), rel=1e-15)
+
+
+@pytest.mark.parametrize("beta", [0.1, 1e-3])
+def test_jet_fields_grid_equals_points_exactly(beta):
+    # the jet reduces each point by a row sum over the modes, so the batch
+    # width cannot change a bit
+    state = QuantumState(2, beta)
+    t_mu = period(state)
+    xs = np.linspace(0.0, 1.0, 13)
+    ts = np.array([0.0, 0.17, 0.5, 0.93]) * t_mu
+    xg, tg = xs[:, None], ts[None, :]
+    jet = psi_jet(xg, tg, state, order=3)
+    fields = {f: f(xg, tg, state) for f in (density, flux, kinetic_energy_density)}
+    for i, x in enumerate(xs):
+        for j, t in enumerate(ts):
+            assert np.array_equal(psi_jet(float(x), float(t), state, order=3), jet[:, i, j])
+            for f, grid in fields.items():
+                point = f(float(x), float(t), state)
+                assert isinstance(point, float)
+                assert point == grid[i, j], (f.__name__, x, t)
+
+
+def test_jet_call_larger_than_one_chunk_equals_small_batches():
+    state = QuantumState(1, 1e-3)
+    n_modes = cutoff_for(state.beta) + 1
+    n_points = 2 * (_JET_BUDGET // n_modes) + 77  # three chunks, the last one partial
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(0.0, 1.0, n_points)
+    ts = rng.uniform(0.0, period(state), n_points)
+    whole = psi_jet(xs, ts, state, order=3)
+    for lo in range(0, n_points, 500):
+        part = psi_jet(xs[lo : lo + 500], ts[lo : lo + 500], state, order=3)
+        assert np.array_equal(part, whole[:, lo : lo + 500])
+
+
+def folded_fields(x, t, state, sys=NATURAL_UNITS):
+    """Every jet field from the O(K^2) folded double series, the independent oracle."""
+    table = build_table(state)
+    den = sys.l * table.norm
+    ux = 2.0 * math.pi * state.mu / sys.l
+    scales = derived_scales(state, sys)
+    vu = scales.P_unit / sys.m
+
+    def fs(a, b, trig):
+        return folded_sum(table, x, t, state, sys, s_power=a, j_power=b, trig=trig) / den
+
+    return {
+        "f": fs(0, 0, "cos"),
+        "f1": -ux * fs(0, 1, "sin"),
+        "f2": -(ux**2) * fs(0, 2, "cos"),
+        "f3": ux**3 * fs(0, 3, "sin"),
+        "flux": vu * fs(1, 0, "cos"),
+        "ke": scales.E_mu * fs(2, 0, "cos"),
+        "m3": vu**3 * fs(3, 0, "cos"),
+    }
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.1, 0.02, 1e-3])
+def test_jet_fields_match_folded_oracle(beta):
+    state = QuantumState(1, beta)
+    t_mu = period(state)
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, 37)])
+    ts = np.concatenate([[0.0, 0.5 * t_mu], rng.uniform(0.0, t_mu, 38)])
+    want = folded_fields(xs, ts, state)
+    f, f1, f2, f3 = density_derivatives(xs, ts, state)
+    p0, p1, p2, p3 = psi_jet(xs, ts, state, order=3)
+    m3 = -0.25 * ((p0.conjugate() * p3).imag - 3.0 * (p1.conjugate() * p2).imag)
+    got = {
+        "f": density(xs, ts, state),
+        "f1": f1,
+        "f2": f2,
+        "f3": f3,
+        "flux": flux(xs, ts, state),
+        "ke": kinetic_energy_density(xs, ts, state),
+        "m3": m3 / (NATURAL_UNITS.l * scaled_norm_sum(state)),
+    }
+    assert np.array_equal(f, got["f"])
+    for name, value in got.items():
+        scale = float(np.max(np.abs(want[name])))
+        assert float(np.max(np.abs(value - want[name]))) <= 1e-11 * scale, name
+    # the scalar moments take their raw sums from one order-3 jet
+    for x, t in zip(xs[:8], ts[:8]):
+        ms = moments(float(x), float(t), state)
+        ref = folded_fields(float(x), float(t), state)
+        assert abs(ms.density - ref["f"]) <= 1e-11 * float(np.max(np.abs(want["f"])))
+        assert abs(ms.flux - ref["flux"]) <= 1e-11 * float(np.max(np.abs(want["flux"])))
+        if ms.energy_density.is_finite:  # (m/2) M2 / f times f is the kinetic energy density
+            ke = ms.energy_density.value * ms.density
+            assert abs(ke - ref["ke"]) <= 1e-11 * float(np.max(np.abs(want["ke"])))

@@ -3,6 +3,8 @@
 import cmath
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from thetawell.wavefunction import (
     derived_scales,
     norm_constant,
     psi,
+    psi_jet,
     scaled_norm_sum,
     schrodinger_residual,
     schrodinger_residual_of,
@@ -152,3 +155,55 @@ def test_derived_scales_relations():
     assert s.P_unit == pytest.approx(math.pi * sys.hbar * 3 / sys.l, rel=1e-15)
     # one period advances every mode phase by a multiple of 2*pi
     assert (s.E_mu * 4 * s.T_mu / sys.hbar) == pytest.approx(math.pi, rel=1e-15)
+
+
+def mp_psi_jet(x, t, state, sys, order=3):
+    """psi_jet's series at 30 digits, and sum |term| per order, over every mode above 1e-35."""
+    with mpmath.workdps(30):
+        mu, beta = state.mu, mpmath.mpf(state.beta)
+        l, hbar, mass = mpmath.mpf(sys.l), mpmath.mpf(sys.hbar), mpmath.mpf(sys.m)
+        t_mu = mass * l**2 / (2 * mpmath.pi * hbar * mu**2)
+        u = mpmath.pi * (2 * mu * mpmath.mpf(x) / l + 1)
+        w = mpmath.pi / t_mu * mpmath.mpf(t)
+        kx = mpmath.pi * mu / l
+        m_top = int(math.sqrt(1.0 + 4.0 * 35.0 * math.log(10.0) / (math.pi * state.beta))) + 2
+        values = [mpmath.mpc(0)] * (order + 1)
+        scales = [mpmath.mpf(0)] * (order + 1)
+        for m in range(-m_top - (m_top % 2 == 0), m_top + 1, 2):
+            amp = mpmath.exp(-mpmath.pi * beta / 4 * (m * m - 1))
+            term = amp * mpmath.expj(u / 2 * m - w / 4 * m * m)
+            for k in range(order + 1):
+                values[k] += term * (1j * kx * m) ** k
+                scales[k] += amp * abs(kx * m) ** k
+        return [complex(v) for v in values], [float(s) for s in scales]
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.1, 1e-3])
+@pytest.mark.parametrize("mu", [1, 3])
+def test_psi_jet_precision_oracle(beta, mu):
+    """Orders 0-3 against a 30-digit sum; tolerance 1e-12 of sum |term|, fixed in advance."""
+    state = QuantumState(mu, beta)
+    sys = SystemParams(m=2.0, l=3.0, hbar=0.5)
+    t_mu = derived_scales(state, sys).T_mu
+    points = [(0.0, 0.0), (0.23, 0.37), (0.5, 0.81), (0.871, 0.05), (1.0, 0.59)]
+    for x_frac, t_frac in points:
+        x, t = x_frac * sys.l, t_frac * t_mu
+        jet = psi_jet(x, t, state, sys, order=3)
+        want, scale = mp_psi_jet(x, t, state, sys)
+        for k in range(4):
+            assert abs(complex(jet[k]) - want[k]) <= 1e-12 * scale[k], (x_frac, t_frac, k)
+
+
+def test_psi_jet_shape_and_order_check():
+    state = QuantumState(2, 0.3)
+    xs = np.linspace(0.0, 1.0, 5)
+    ts = np.array([0.0, 0.01, 0.02])
+    assert psi_jet(xs[:, None], ts[None, :], state, order=2).shape == (3, 5, 3)
+    assert psi_jet(0.4, 0.01, state).shape == (1,)
+    assert complex(psi_jet(0.4, 0.01, state)[0]) / math.sqrt(
+        NATURAL_UNITS.l * scaled_norm_sum(state)
+    ) == psi(0.4, 0.01, state)
+    with pytest.raises(ValueError):
+        psi_jet(0.4, 0.01, state, order=4)
+    with pytest.raises(ValueError):
+        psi_jet(np.array([0.2, 1.2]), 0.0, state)
