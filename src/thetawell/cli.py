@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .density import averaged_density, density, period
-from .numerics import DEFAULT_TRUNCATION, FieldSample, FieldTag, Truncation, TruncationOverflowError
+from .numerics import DEFAULT_TRUNCATION, FieldSample, Truncation, TruncationOverflowError
 from .phase_space import DENSITY_FLOOR, moments, velocity_field, wigner_comb
 from .thermo import entropy, gibbs_params, mean_energy_gibbs
 from .verification import run_all_checks

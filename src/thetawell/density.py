@@ -24,10 +24,10 @@ from .wavefunction import (
     SystemParams,
     _check_domain,
     _phase_coords,
+    _unbox,
     derived_scales,
+    jet_forms,
     mode_table,
-    psi_jet,
-    scaled_norm_sum,
 )
 
 __all__ = [
@@ -84,27 +84,7 @@ def g_phase(
     same angle u - s*w that ``series.comb_rows`` evaluates for row s.
     """
     u, w, shape = _phase_coords(x, t, state, sys)
-    val = (u - (n + k + 1) * w).reshape(shape)
-    if val.ndim == 0:
-        return float(val)
-    return val
-
-
-def _re(a, b):
-    """Re(conj(a) b), in real arithmetic so that arrays and scalars round alike."""
-    return a.real * b.real + a.imag * b.imag
-
-
-def _im(a, b):
-    """Im(conj(a) b), in real arithmetic so that arrays and scalars round alike."""
-    return a.real * b.imag - a.imag * b.real
-
-
-def _unbox(val):
-    """A float for a 0-d result, the array otherwise."""
-    if val.ndim == 0:
-        return float(val)
-    return val
+    return _unbox((u - (n + k + 1) * w).reshape(shape))
 
 
 def density(
@@ -121,8 +101,7 @@ def density(
     density-identity check.  Values may undershoot 0 by the truncation floor
     near nodes; they are never clamped here.  Broadcasts over x and t.
     """
-    (p0,) = psi_jet(x, t, state, sys, trunc)
-    return _unbox(_re(p0, p0) / (sys.l * scaled_norm_sum(state, trunc)))
+    return _unbox(jet_forms(x, t, state, sys, trunc).re(0, 0))
 
 
 def density_derivatives(
@@ -140,12 +119,11 @@ def density_derivatives(
     the tuple is consistent to rounding accuracy; used by the
     quantum-potential identities.  Broadcasts over x and t.
     """
-    p0, p1, p2, p3 = psi_jet(x, t, state, sys, trunc, order=3)
-    den = sys.l * scaled_norm_sum(state, trunc)
-    f0 = _re(p0, p0) / den
-    f1 = 2.0 * _re(p0, p1) / den
-    f2 = (2.0 * _re(p1, p1) + 2.0 * _re(p0, p2)) / den
-    f3 = (2.0 * _re(p0, p3) + 6.0 * _re(p1, p2)) / den
+    j = jet_forms(x, t, state, sys, trunc, order=3)
+    f0 = j.re(0, 0)
+    f1 = 2.0 * j.re(0, 1)
+    f2 = 2.0 * (j.re(1, 1) + j.re(0, 2))
+    f3 = 2.0 * j.re(0, 3) + 6.0 * j.re(1, 2)
     return _unbox(f0), _unbox(f1), _unbox(f2), _unbox(f3)
 
 
@@ -153,10 +131,7 @@ def stationary_density(x, state: QuantumState, sys: SystemParams = NATURAL_UNITS
     """Single-mode density (2/l) sin^2(pi*mu*x/l), the beta -> infinity limit."""
     _check_domain(x, sys)
     s = np.sin(math.pi * state.mu * np.asarray(x, dtype=float) / sys.l)
-    val = 2.0 / sys.l * s * s
-    if np.ndim(val) == 0:
-        return float(val)
-    return val
+    return _unbox(2.0 / sys.l * s * s)
 
 
 def averaged_density(
@@ -180,10 +155,7 @@ def averaged_density(
     xa = np.asarray(x, dtype=float)
     phases = np.multiply.outer(xa, modes.m) * (math.pi * state.mu / sys.l)
     s2 = np.sin(phases) ** 2
-    val = 4.0 / (sys.l * modes.norm) * (s2 @ modes.w)
-    if np.ndim(val) == 0:
-        return float(val)
-    return val
+    return _unbox(4.0 / (sys.l * modes.norm) * (s2 @ modes.w))
 
 
 def period(state: QuantumState, sys: SystemParams = NATURAL_UNITS) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _im, _re, _unbox, density
+from .density import density
 from .numerics import (
     DEFAULT_TRUNCATION,
     FieldSample,
@@ -39,12 +39,13 @@ from .numerics import (
 from .series import build_table, comb_rows, folded_sum
 from .wavefunction import (
     NATURAL_UNITS,
+    JetForms,
     QuantumState,
     SystemParams,
     _check_domain,
+    _unbox,
     derived_scales,
-    psi_jet,
-    scaled_norm_sum,
+    jet_forms,
 )
 
 __all__ = [
@@ -124,6 +125,25 @@ class MomentSet:
     energy_density: FieldSample
 
 
+def _flux_form(j: JetForms, sys: SystemParams):
+    """M1 = (hbar/m) Im(psi* psi'), the probability flux."""
+    return sys.hbar / sys.m * j.im(0, 1)
+
+
+def _m2_form(j: JetForms, sys: SystemParams):
+    """M2 = (hbar^2/2m^2)(|psi'|^2 - Re(psi* psi'')), the second velocity moment."""
+    hm = sys.hbar / sys.m
+    return 0.5 * hm * hm * (j.re(1, 1) - j.re(0, 2))
+
+
+def _density_and_flux(
+    x: float, t: float, state: QuantumState, sys: SystemParams, trunc: Truncation
+) -> tuple[float, float]:
+    """Density and flux at one point from one order-1 psi jet."""
+    j = jet_forms(x, t, state, sys, trunc, order=1)
+    return float(j.re(0, 0)), float(_flux_form(j, sys))
+
+
 def flux(
     x,
     t,
@@ -139,9 +159,7 @@ def flux(
     ``flow_constant`` overrides it for experimentation.  Evaluated as
     (hbar/m) Im(psi* psi') from an order-1 ``psi_jet``.  Broadcasts over x, t.
     """
-    p0, p1 = psi_jet(x, t, state, sys, trunc, order=1)
-    den = sys.l * scaled_norm_sum(state, trunc)
-    return _unbox(sys.hbar / sys.m * _im(p0, p1) / den + flow_constant)
+    return _unbox(_flux_form(jet_forms(x, t, state, sys, trunc, order=1), sys) + flow_constant)
 
 
 def wigner_comb(
@@ -192,9 +210,9 @@ def _probe_velocity(
     vals = []
     for xx in (x - delta, x + delta):
         if 0.0 < xx < sys.l:
-            fp = density(xx, t, state, sys, trunc)
+            fp, phi = _density_and_flux(xx, t, state, sys, trunc)
             if fp >= floor:
-                vals.append(flux(xx, t, state, sys, trunc) / fp)
+                vals.append(phi / fp)
     if vals:
         return math.fsum(vals) / len(vals)
     return 0.0
@@ -207,15 +225,15 @@ def velocity_field(
     sys: SystemParams = NATURAL_UNITS,
     trunc: Truncation = DEFAULT_TRUNCATION,
 ) -> FieldSample:
-    """Mean velocity of probability flow, flux / density, via the psi jet.
+    """Mean velocity of probability flow, flux / density, from one order-1 psi jet.
 
     Node-undefined where the density is below the floor (walls and instantaneous
     nodes); the flow limit exists there but the ratio itself does not.
     """
-    f = density(x, t, state, sys, trunc)
+    f, phi = _density_and_flux(x, t, state, sys, trunc)
     if f < _floor_for(sys):
         return FieldSample(math.nan, FieldTag.NODE_UNDEFINED)
-    return FieldSample(flux(x, t, state, sys, trunc) / f)
+    return FieldSample(phi / f)
 
 
 def velocity_from_vlasov(
@@ -269,13 +287,11 @@ def moments(
     M2 = (hbar^2/2m^2)(|psi'|^2 - Re(psi* psi'')) and
     M3 = -(hbar^3/4m^3)(Im(psi* psi''') - 3 Im(psi'* psi'')).
     """
-    p0, p1, p2, p3 = psi_jet(x, t, state, sys, trunc, order=3)
-    den = sys.l * scaled_norm_sum(state, trunc)
-    hm = sys.hbar / sys.m
-    f = float(_re(p0, p0)) / den
-    phi = hm * float(_im(p0, p1)) / den
-    m2 = 0.5 * hm * hm * float(_re(p1, p1) - _re(p0, p2)) / den
-    m3 = -0.25 * hm**3 * float(_im(p0, p3) - 3.0 * _im(p1, p2)) / den
+    j = jet_forms(x, t, state, sys, trunc, order=3)
+    f = float(j.re(0, 0))
+    phi = float(_flux_form(j, sys))
+    m2 = float(_m2_form(j, sys))
+    m3 = float(-0.25 * (sys.hbar / sys.m) ** 3 * (j.im(0, 3) - 3.0 * j.im(1, 2)))
     floor = _floor_for(sys)
     if f >= floor:
         v = phi / f
@@ -302,9 +318,7 @@ def kinetic_energy_density(
     (hbar^2/4m)(|psi'|^2 - Re(psi* psi'')) from an order-2 ``psi_jet``.
     Broadcasts over x and t.
     """
-    p0, p1, p2 = psi_jet(x, t, state, sys, trunc, order=2)
-    den = sys.l * scaled_norm_sum(state, trunc)
-    return _unbox(sys.hbar**2 / (4.0 * sys.m) * (_re(p1, p1) - _re(p0, p2)) / den)
+    return _unbox(0.5 * sys.m * _m2_form(jet_forms(x, t, state, sys, trunc, order=2), sys))
 
 
 def pressure_gradient(
@@ -358,13 +372,11 @@ def continuity_residual(
     either side leaves a residual; correct ones agree to the floating-point
     floor (order 1e-13 of the field scale).  Broadcasts over x and t.
     """
-    p0, _, p2 = psi_jet(x, t, state, sys, trunc, order=2)
+    df_dt = -(sys.hbar / sys.m) * jet_forms(x, t, state, sys, trunc, order=2).im(0, 2)
     table = build_table(state, trunc)
     scales = derived_scales(state, sys)
     den = sys.l * table.norm
     ux = 2.0 * math.pi * state.mu / sys.l
-
-    df_dt = -(sys.hbar / sys.m) * _im(p0, p2) / den
     core_x = folded_sum(table, x, t, state, sys, s_power=1, j_power=1, trig="sin")
     dflux_dx = -(scales.P_unit / sys.m) * ux * core_x / den
     return np.abs(df_dt + dflux_dx)

@@ -24,7 +24,6 @@ from .phase_space import (
     continuity_residual,
     energy_law_residual,
     flux,
-    kinetic_energy_density,
     moments,
     momentum_law_residual,
     pressure_gradient,

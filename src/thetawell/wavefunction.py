@@ -38,6 +38,8 @@ __all__ = [
     "norm_constant",
     "psi",
     "psi_jet",
+    "JetForms",
+    "jet_forms",
     "stationary_psi",
     "schrodinger_residual",
     "schrodinger_residual_of",
@@ -148,6 +150,8 @@ def norm_constant(
 
 def _check_domain(x, sys: SystemParams) -> None:
     """Raise ValueError unless every x lies in the closed well [0, l]."""
+    # a float skips numpy here and in _phase_coords: the registry and the CLI
+    # call the fields point by point, and boxing would dominate those calls
     if isinstance(x, float):
         inside = 0.0 <= x <= sys.l
     else:
@@ -251,6 +255,49 @@ def psi_jet(
         sums = np.add.reduce(xw[:, :, None, :] * rot[:, None, :, :], axis=-1)
         out[lo:hi] = sums.view(complex)[..., 0]
     return out.T.reshape((n, *shape))
+
+
+@dataclass(frozen=True)
+class JetForms:
+    """Bilinear forms of one ``psi_jet``, each divided by the norm l * scaled_norm_sum.
+
+    With psi_k the k-th x-derivative, ``re(i, j)`` is Re(conj(psi_i) psi_j)
+    and ``im(i, j)`` is Im(conj(psi_i) psi_j), both over ``norm``: every
+    field is a combination of these (density re(0, 0), flux (hbar/m) im(0, 1),
+    ...).  Real arithmetic, because numpy's complex array product rounds
+    differently from its scalar one; this way a grid call equals per-point
+    calls bit for bit.
+    """
+
+    jet: np.ndarray
+    norm: float
+
+    def re(self, i: int, j: int):
+        a, b = self.jet[i], self.jet[j]
+        return (a.real * b.real + a.imag * b.imag) / self.norm
+
+    def im(self, i: int, j: int):
+        a, b = self.jet[i], self.jet[j]
+        return (a.real * b.imag - a.imag * b.real) / self.norm
+
+
+def jet_forms(
+    x,
+    t,
+    state: QuantumState,
+    sys: SystemParams = NATURAL_UNITS,
+    trunc: Truncation = DEFAULT_TRUNCATION,
+    order: int = 0,
+) -> JetForms:
+    """The normalized bilinear forms of the order-``order`` psi jet at (x, t)."""
+    return JetForms(psi_jet(x, t, state, sys, trunc, order), sys.l * scaled_norm_sum(state, trunc))
+
+
+def _unbox(val):
+    """A float for a 0-d result, the array otherwise."""
+    if np.ndim(val) == 0:
+        return float(val)
+    return val
 
 
 def psi(
