@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .density import averaged_density, density, period
-from .numerics import DEFAULT_TRUNCATION, FieldSample, Truncation, TruncationOverflowError
+from .numerics import DEFAULT_TRUNCATION, FieldSample, FieldTag, Truncation, TruncationOverflowError
 from .phase_space import DENSITY_FLOOR, moments, velocity_field, wigner_comb
 from .thermo import entropy, gibbs_params, mean_energy_gibbs
 from .verification import run_all_checks
@@ -266,17 +266,10 @@ def _emit(config: JobConfig, columns: list[str], rows: list[dict[str, object]], 
     return "\n".join(out) + "\n"
 
 
-def _sample_cell(value: FieldSample) -> tuple[float | None, str]:
-    if value.is_finite:
-        return float(value.value), str(value.tag)
-    return None, str(value.tag)
-
-
-def _clamp_density(value: float, sys_params: SystemParams) -> float:
+def _clamp_density(value, sys_params: SystemParams) -> np.ndarray:
     # tiny negative truncation residue is clamped to zero in output only
-    if -(DENSITY_FLOOR / sys_params.l) < value < 0.0:
-        return 0.0
-    return value
+    residue = (-(DENSITY_FLOOR / sys_params.l) < value) & (value < 0.0)
+    return np.where(residue, 0.0, value)
 
 
 def _grids(config: JobConfig, sys_params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
@@ -295,32 +288,27 @@ def _field_rows(config: JobConfig) -> tuple[list[str], list[dict[str, object]], 
     columns = ["x", "t", "value", "tag"]
     rows: list[dict[str, object]] = []
 
-    point_fields = {
-        "density": (
-            "1/length",
-            lambda x, t: (_clamp_density(density(x, t, state, sys_params, trunc), sys_params), "finite"),
-        ),
-        "velocity": (
-            "length/time",
-            lambda x, t: _sample_cell(velocity_field(x, t, state, sys_params, trunc)),
-        ),
-        "energy": (
-            "energy",
-            lambda x, t: _sample_cell(moments(x, t, state, sys_params, trunc).energy_density),
-        ),
+    def clamped_density(x, t) -> FieldSample:
+        f = _clamp_density(density(x, t, state, sys_params, trunc), sys_params)
+        return FieldSample(f, np.full(f.shape, FieldTag.FINITE))
+
+    grid_fields = {
+        "density": ("1/length", clamped_density),
+        "velocity": ("length/time", lambda x, t: velocity_field(x, t, state, sys_params, trunc)),
+        "energy": ("energy", lambda x, t: moments(x, t, state, sys_params, trunc).energy_density),
     }
-    if config.command in point_fields:
-        value_unit, cell = point_fields[config.command]
+    if config.command in grid_fields:
+        value_unit, field = grid_fields[config.command]
         units = {"x": "length", "t": "time", "value": value_unit}
-        for t in ts:
-            for x in xs:
-                value, tag = cell(float(x), float(t))
-                rows.append({"x": float(x), "t": float(t), "value": value, "tag": tag})
+        sample = field(xs[None, :], ts[:, None])  # rows in t, columns in x
+        for (i, j), tag in np.ndenumerate(sample.tag):
+            value = float(sample.value[i, j]) if tag is FieldTag.FINITE else None
+            rows.append({"x": float(xs[j]), "t": float(ts[i]), "value": value, "tag": str(tag)})
     elif config.command == "averaged-density":
         units = {"x": "length", "value": "1/length"}
-        for x in xs:
-            value = _clamp_density(float(averaged_density(float(x), state, sys_params, trunc)), sys_params)
-            rows.append({"x": float(x), "t": None, "value": value, "tag": "finite"})
+        values = _clamp_density(averaged_density(xs, state, sys_params, trunc), sys_params)
+        for x, value in zip(xs, values):
+            rows.append({"x": float(x), "t": None, "value": float(value), "tag": "finite"})
     else:  # wigner
         columns = ["x", "t", "s", "momentum", "weight"]
         units = {

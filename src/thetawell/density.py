@@ -149,13 +149,15 @@ def averaged_density(
     weights spread over many modes and the profile flattens, so the mass in a
     central window falls toward its uniform share.  The spikes at the centers
     of the level's sub-wells belong to the instantaneous ``density``.
+    Broadcasts over x, with one dot product per point, so a grid call equals
+    per-point calls bit for bit.
     """
     _check_domain(x, sys)
     modes = mode_table(state.beta, trunc)
     xa = np.asarray(x, dtype=float)
     phases = np.multiply.outer(xa, modes.m) * (math.pi * state.mu / sys.l)
     s2 = np.sin(phases) ** 2
-    return _unbox(4.0 / (sys.l * modes.norm) * (s2 @ modes.w))
+    return _unbox(4.0 / (sys.l * modes.norm) * np.vecdot(s2, modes.w))
 
 
 def period(state: QuantumState, sys: SystemParams = NATURAL_UNITS) -> float:

@@ -35,6 +35,7 @@ from .numerics import (
     FieldTag,
     Truncation,
     finite_diff,
+    tagged,
 )
 from .series import build_table, comb_rows, folded_sum
 from .wavefunction import (
@@ -108,7 +109,7 @@ class WignerComb:
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Velocity moments of the comb at one (x, t).
+    """Velocity moments of the comb: floats at one (x, t), arrays on a grid.
 
     density        probability / length
     flux           density * mean velocity (finite everywhere)
@@ -134,14 +135,6 @@ def _m2_form(j: JetForms, sys: SystemParams):
     """M2 = (hbar^2/2m^2)(|psi'|^2 - Re(psi* psi'')), the second velocity moment."""
     hm = sys.hbar / sys.m
     return 0.5 * hm * hm * (j.re(1, 1) - j.re(0, 2))
-
-
-def _density_and_flux(
-    x: float, t: float, state: QuantumState, sys: SystemParams, trunc: Truncation
-) -> tuple[float, float]:
-    """Density and flux at one point from one order-1 psi jet."""
-    j = jet_forms(x, t, state, sys, trunc, order=1)
-    return float(j.re(0, 0)), float(_flux_form(j, sys))
 
 
 def flux(
@@ -193,34 +186,28 @@ def wigner_comb(
 
 
 def _probe_velocity(
-    x: float,
-    t: float,
-    state: QuantumState,
-    sys: SystemParams,
-    trunc: Truncation,
-) -> float:
-    """Mean velocity just beside a node, as a center for central moments.
+    xs: np.ndarray, ts: np.ndarray, state: QuantumState, sys: SystemParams, trunc: Truncation
+) -> np.ndarray:
+    """Mean velocity just beside each node (xs, ts), as a center for central moments.
 
     Averages flux/density over the admissible probes x +- delta (one-sided at
-    the walls).  If the whole neighborhood is below the floor there is no flow
-    to resolve and 0 is returned.
+    the walls).  Where the whole neighborhood is below the floor there is no
+    flow to resolve and 0 is returned.
     """
     delta = _PROBE_FRACTION * sys.l
-    floor = _floor_for(sys)
-    vals = []
-    for xx in (x - delta, x + delta):
-        if 0.0 < xx < sys.l:
-            fp, phi = _density_and_flux(xx, t, state, sys, trunc)
-            if fp >= floor:
-                vals.append(phi / fp)
-    if vals:
-        return math.fsum(vals) / len(vals)
-    return 0.0
+    probes = np.stack([xs - delta, xs + delta])
+    admissible = (probes > 0.0) & (probes < sys.l)
+    j = jet_forms(np.where(admissible, probes, xs), ts, state, sys, trunc, order=1)
+    fp = j.re(0, 0)
+    ok = admissible & (fp >= _floor_for(sys))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(ok, _flux_form(j, sys) / fp, 0.0)
+    return (ratio[0] + ratio[1]) / np.maximum(np.count_nonzero(ok, axis=0), 1)
 
 
 def velocity_field(
-    x: float,
-    t: float,
+    x,
+    t,
     state: QuantumState,
     sys: SystemParams = NATURAL_UNITS,
     trunc: Truncation = DEFAULT_TRUNCATION,
@@ -229,11 +216,12 @@ def velocity_field(
 
     Node-undefined where the density is below the floor (walls and instantaneous
     nodes); the flow limit exists there but the ratio itself does not.
+    Broadcasts over x and t.
     """
-    f, phi = _density_and_flux(x, t, state, sys, trunc)
-    if f < _floor_for(sys):
-        return FieldSample(math.nan, FieldTag.NODE_UNDEFINED)
-    return FieldSample(phi / f)
+    j = jet_forms(x, t, state, sys, trunc, order=1)
+    f = j.re(0, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return tagged(_flux_form(j, sys) / f, f >= _floor_for(sys), FieldTag.NODE_UNDEFINED)
 
 
 def velocity_from_vlasov(
@@ -264,13 +252,13 @@ def velocity_from_vlasov(
 
 
 def moments(
-    x: float,
-    t: float,
+    x,
+    t,
     state: QuantumState,
     sys: SystemParams = NATURAL_UNITS,
     trunc: Truncation = DEFAULT_TRUNCATION,
 ) -> MomentSet:
-    """Density, flux, pressure, heat flux, and mean energy at one point.
+    """Density, flux, pressure, heat flux, and mean energy; broadcasts over x and t.
 
     The raw velocity moments M_k = sum over atoms of (P_s/m)^k C_s are exact
     finite sums; pressure and heat flux are the central combinations
@@ -285,23 +273,30 @@ def moments(
     The raw moments are bilinear forms of one order-3 ``psi_jet``, over the
     norm: f = |psi|^2, M1 = (hbar/m) Im(psi* psi'),
     M2 = (hbar^2/2m^2)(|psi'|^2 - Re(psi* psi'')) and
-    M3 = -(hbar^3/4m^3)(Im(psi* psi''') - 3 Im(psi'* psi'')).
+    M3 = -(hbar^3/4m^3)(Im(psi* psi''') - 3 Im(psi'* psi'')).  The cube of
+    <v> is written as a product, which rounds alike for a point and a grid.
     """
     j = jet_forms(x, t, state, sys, trunc, order=3)
-    f = float(j.re(0, 0))
-    phi = float(_flux_form(j, sys))
-    m2 = float(_m2_form(j, sys))
-    m3 = float(-0.25 * (sys.hbar / sys.m) ** 3 * (j.im(0, 3) - 3.0 * j.im(1, 2)))
-    floor = _floor_for(sys)
-    if f >= floor:
-        v = phi / f
-        energy = FieldSample(0.5 * sys.m * m2 / f)
-    else:
-        v = _probe_velocity(x, t, state, sys, trunc)
-        energy = FieldSample(math.nan, FieldTag.POLE)
+    f = j.re(0, 0)
+    phi = _flux_form(j, sys)
+    m2 = _m2_form(j, sys)
+    m3 = -0.25 * (sys.hbar / sys.m) ** 3 * (j.im(0, 3) - 3.0 * j.im(1, 2))
+    defined = f >= _floor_for(sys)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.array(phi / f)
+        energy = tagged(0.5 * sys.m * m2 / f, defined, FieldTag.POLE)
+    if not np.all(defined):
+        xb, tb = np.broadcast_arrays(x, t)
+        v[~defined] = _probe_velocity(xb[~defined], tb[~defined], state, sys, trunc)
     p11 = sys.m * (m2 - f * v * v)
-    p111 = m3 - 3.0 * v * m2 + 3.0 * v * v * phi - v**3 * f
-    return MomentSet(density=f, flux=phi, pressure=p11, heat_flux=p111, energy_density=energy)
+    p111 = m3 - 3.0 * v * m2 + 3.0 * v * v * phi - v * v * v * f
+    return MomentSet(
+        density=_unbox(f),
+        flux=_unbox(phi),
+        pressure=_unbox(p11),
+        heat_flux=_unbox(p111),
+        energy_density=energy,
+    )
 
 
 def kinetic_energy_density(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import averaged_density, density_derivatives
-from .numerics import DEFAULT_TRUNCATION, FieldSample, FieldTag, Truncation, cutoff_for, integrate
+from .numerics import DEFAULT_TRUNCATION, FieldSample, FieldTag, Truncation, cutoff_for, integrate, tagged
 from .phase_space import DENSITY_FLOOR, kinetic_energy_density
 from .theta import ThetaArgs, theta_char
 from .wavefunction import (
@@ -217,8 +217,8 @@ def entropy_from_factor(
 
 
 def quantum_potential(
-    x: float,
-    t: float,
+    x,
+    t,
     state: QuantumState,
     sys: SystemParams = NATURAL_UNITS,
     trunc: Truncation = DEFAULT_TRUNCATION,
@@ -226,19 +226,20 @@ def quantum_potential(
     """Quantum potential Q = -(hbar^2/2m) (sqrt f)'' / sqrt f, from analytic derivatives.
 
     Evaluated as -(hbar^2/2m)[f''/(2f) - (f')^2/(4f^2)] with the analytic
-    derivatives of ``density_derivatives``; tagged pole where the density is below the floor.  In the
-    frozen limit Q tends to the level energy at every interior non-node point.
+    derivatives of ``density_derivatives``; tagged pole where the density is
+    below the floor.  In the frozen limit Q tends to the level energy at every
+    interior non-node point.  Broadcasts over x and t.
     """
-    f, f1, f2, _ = density_derivatives(x, t, state, sys, trunc)
-    if f < DENSITY_FLOOR / sys.l:
-        return FieldSample(math.nan, FieldTag.POLE)
+    f, f1, f2, _ = (np.asarray(d) for d in density_derivatives(x, t, state, sys, trunc))
     coef = -(sys.hbar**2) / (2.0 * sys.m)
-    return FieldSample(coef * (f2 / (2.0 * f) - f1 * f1 / (4.0 * f * f)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = coef * (f2 / (2.0 * f) - f1 * f1 / (4.0 * f * f))
+    return tagged(val, f >= DENSITY_FLOOR / sys.l, FieldTag.POLE)
 
 
 def quantum_potential_gradient(
-    x: float,
-    t: float,
+    x,
+    t,
     state: QuantumState,
     sys: SystemParams = NATURAL_UNITS,
     trunc: Truncation = DEFAULT_TRUNCATION,
@@ -246,20 +247,19 @@ def quantum_potential_gradient(
     """Analytic dQ/dx; pole-tagged like ``quantum_potential``.
 
     Matches the pressure-gradient identity: (1/f) dP11/dx equals dQ/dx for the
-    flow of this state (checked to rounding accuracy by the test-suite).
+    flow of this state (checked to rounding accuracy by the test-suite).  The
+    cubes are written as products, which round alike for a point and a grid.
+    Broadcasts over x and t.
     """
-    f, f1, f2, f3 = density_derivatives(x, t, state, sys, trunc)
-    if f < DENSITY_FLOOR / sys.l:
-        return FieldSample(math.nan, FieldTag.POLE)
+    f, f1, f2, f3 = (np.asarray(d) for d in density_derivatives(x, t, state, sys, trunc))
     coef = -(sys.hbar**2) / (2.0 * sys.m)
-    val = coef * (
-        f3 / (2.0 * f) - f1 * f2 / (f * f) + f1**3 / (2.0 * f**3)
-    )
-    return FieldSample(val)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = coef * (f3 / (2.0 * f) - f1 * f2 / (f * f) + f1 * f1 * f1 / (2.0 * f * f * f))
+    return tagged(val, f >= DENSITY_FLOOR / sys.l, FieldTag.POLE)
 
 
 def avg_energy_profile(
-    x: float,
+    x,
     state: QuantumState,
     sys: SystemParams = NATURAL_UNITS,
     trunc: Truncation = DEFAULT_TRUNCATION,
@@ -269,13 +269,13 @@ def avg_energy_profile(
     The period average of the energy-weighted density divided by the period
     average of the density; the numerator collapses to the constant Gibbs mean
     energy per unit length.  Pole-tagged at zeros of the averaged density
-    (walls and, for mu > 1, the stationary nodes).
+    (walls and, for mu > 1, the stationary nodes).  Broadcasts over x.
     """
-    fbar = averaged_density(x, state, sys, trunc)
-    if fbar < DENSITY_FLOOR / sys.l:
-        return FieldSample(math.nan, FieldTag.POLE)
+    fbar = np.asarray(averaged_density(x, state, sys, trunc))
     gp = gibbs_params(state, sys)
-    return FieldSample(mean_energy_gibbs(gp, state, trunc) / (sys.l * fbar))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = mean_energy_gibbs(gp, state, trunc) / (sys.l * fbar)
+    return tagged(val, fbar >= DENSITY_FLOOR / sys.l, FieldTag.POLE)
 
 
 def _time_panels(state: QuantumState, trunc: Truncation) -> int:
@@ -305,9 +305,10 @@ def double_avg_energy(
     scales = derived_scales(state, sys)
     t_panels = _time_panels(state, trunc)
 
-    def time_avg(x: float) -> float:
+    def time_avg(xs: np.ndarray) -> np.ndarray:
+        # one (x, t) grid call: a row of time samples per x node
         val = integrate(
-            lambda tt: kinetic_energy_density(x, tt, state, sys, trunc),
+            lambda ts: kinetic_energy_density(xs[:, None], ts, state, sys, trunc),
             0.0,
             scales.T_mu,
             t_panels,

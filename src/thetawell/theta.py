@@ -44,16 +44,17 @@ class ThetaArgs:
             raise ValueError(f"Im(tau) must be positive, got tau={self.tau!r}")
 
 
-def _index_window(a: float, cutoff: int) -> np.ndarray:
-    """Integer indices with |k + a| <= cutoff + 1/2, ordered center-out.
+def _index_window(center: float, cutoff: int) -> np.ndarray:
+    """Integer indices with |k + center| <= cutoff + 1/2, ordered center-out.
 
-    The window is symmetric about the weight center k = -a, which keeps the
-    pair cancellations (k vs -k-1 for half-integer a) exact at the boundary.
+    The window is symmetric about the weight center k = -center, which keeps
+    the pair cancellations (k vs -k-1 for half-integer a and real z) exact at
+    the boundary.
     """
-    lo = math.ceil(-a - cutoff - 0.5)
-    hi = math.floor(-a + cutoff + 0.5)
+    lo = math.ceil(-center - cutoff - 0.5)
+    hi = math.floor(-center + cutoff + 0.5)
     ks = np.arange(lo, hi + 1)
-    order = np.argsort(np.abs(ks + a), kind="stable")
+    order = np.argsort(np.abs(ks + center), kind="stable")
     return ks[order]
 
 
@@ -61,8 +62,9 @@ def theta_char(args: ThetaArgs, trunc: Truncation = DEFAULT_TRUNCATION) -> compl
     """Evaluate the theta series, truncated per the tail-bound policy.
 
     Characteristics are reduced modulo 1 in ``a`` (an exact symmetry of the
-    sum) so the Gaussian weight center stays inside the index window.  Terms
-    are summed center-out, largest magnitude first.
+    sum), and the index window is centered on the Gaussian weight center
+    k = -a - Im(z)/Im(tau), so it holds the largest terms for complex z too.
+    Terms are summed center-out, largest magnitude first.
     """
     shift = round(args.a)
     a = args.a - shift  # a in [-1/2, 1/2], series invariant under integer shifts
@@ -70,7 +72,7 @@ def theta_char(args: ThetaArgs, trunc: Truncation = DEFAULT_TRUNCATION) -> compl
     z = complex(args.z)
     tau = complex(args.tau)
     cutoff = cutoff_for(tau.imag, trunc)
-    ks = _index_window(a, cutoff)
+    ks = _index_window(a + z.imag / tau.imag, cutoff)
     ka = ks + a
     exponent = 1j * math.pi * tau * ka * ka + _TWO_PI_I * (z + b) * ka
     return complex(np.sum(np.exp(exponent)))

@@ -150,8 +150,9 @@ def norm_constant(
 
 def _check_domain(x, sys: SystemParams) -> None:
     """Raise ValueError unless every x lies in the closed well [0, l]."""
-    # a float skips numpy here and in _phase_coords: the registry and the CLI
-    # call the fields point by point, and boxing would dominate those calls
+    # a float skips numpy here and in _phase_coords: scalar psi calls and the
+    # comb and finite-difference routes take one point per call, and boxing
+    # would dominate those calls
     if isinstance(x, float):
         inside = 0.0 <= x <= sys.l
     else:
@@ -176,9 +177,9 @@ def _phase_coords(x, t, state: QuantumState, sys: SystemParams):
     return np.ravel(u), np.ravel(w), shape
 
 
-# points x modes per psi_jet chunk: its work arrays (eighteen of this size
-# at order 3, 18 MiB) stay within folded_sum's two arrays of 1 << 21 (32 MiB)
-_JET_BUDGET = 1 << 17
+# points x modes per psi_jet chunk: 576 KiB of work arrays at order 3, so
+# callers pass whole grids; larger chunks cost memory and save no time
+_JET_BUDGET = 1 << 12
 
 
 @functools.lru_cache(maxsize=64)
@@ -301,20 +302,27 @@ def _unbox(val):
 
 
 def psi(
-    x: float,
-    t: float,
+    x,
+    t,
     state: QuantumState,
     sys: SystemParams = NATURAL_UNITS,
     trunc: Truncation = DEFAULT_TRUNCATION,
-) -> complex:
+):
     """The wavefunction at (x, t), normalized so the probability on [0, l] is 1.
 
-    The order-0 ``psi_jet`` over the square root of l * scaled_norm_sum.
-    Boundary evaluations return the raw series value, which cancels to the
-    truncation floor rather than being forced to exactly 0.
+    The order-0 ``psi_jet`` over the square root of l * scaled_norm_sum, part
+    by part (a complex array division rounds otherwise).  Boundary
+    evaluations return the raw series value, which cancels to the truncation
+    floor rather than being forced to exactly 0.  Broadcasts over x and t.
     """
-    theta_scaled = complex(psi_jet(x, t, state, sys, trunc)[0])
-    return theta_scaled / math.sqrt(sys.l * scaled_norm_sum(state, trunc))
+    theta_scaled = psi_jet(x, t, state, sys, trunc)[0]
+    root = math.sqrt(sys.l * scaled_norm_sum(state, trunc))
+    if theta_scaled.ndim == 0:
+        return complex(theta_scaled.real / root, theta_scaled.imag / root)
+    out = np.empty(theta_scaled.shape, dtype=complex)
+    out.real = theta_scaled.real / root
+    out.imag = theta_scaled.imag / root
+    return out
 
 
 def stationary_psi(

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from thetawell import series
+from thetawell import cli, series, thermo, verification
 from thetawell.density import averaged_density, period
 from thetawell.phase_space import moments, velocity_field
 from thetawell.verification import comb_window_masses, run_check
@@ -150,3 +150,44 @@ def test_folded_oracle_is_live(name, monkeypatch):
             monkeypatch.setattr(module, "folded_sum", scaled)
     r = run_check(name)
     assert not r.passed, r.detail
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` by a wrapper that records each call's arguments."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_normalization_makes_one_psi_call_per_integral(monkeypatch):
+    # 3 levels x 4 widths x 5 times: each integral samples psi once on its nodes
+    calls = _count_calls(monkeypatch, verification, "psi")
+    assert run_check("normalization").passed
+    assert len(calls) == 60
+    assert all(np.shape(args[0]) == (1025,) for args in calls)
+
+
+def test_double_avg_energy_makes_one_grid_call_per_state(monkeypatch):
+    calls = _count_calls(monkeypatch, thermo, "kinetic_energy_density")
+    for mu, beta in ((1, 0.5), (3, 0.5)):
+        thermo.double_avg_energy(QuantumState(mu, beta))
+    assert len(calls) == 2
+    assert all(np.ndim(args[0]) == 2 for args in calls)
+
+
+@pytest.mark.parametrize(
+    "command,field", [("density", "density"), ("velocity", "velocity_field"), ("energy", "moments")]
+)
+def test_cli_field_command_makes_one_grid_call(command, field, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, cli, field)
+    assert cli.main([command, "--grid-x", "9", "--grid-t", "4"]) == 0
+    table = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert len(table) == 1 + 9 * 4  # header and one row per grid point
+    assert len(calls) == 1
+    assert np.broadcast_shapes(np.shape(calls[0][0]), np.shape(calls[0][1])) == (4, 9)

@@ -253,6 +253,13 @@ def test_truncation_overflow_exits_2(capsys):
     code, _, err = run_cli(capsys, ["density", "--beta", "1e-8", "--grid-x", "2", "--grid-t", "2"])
     assert code == 2
     assert err
+    # the boundary: beta = 6.10e-7 needs cutoff 4101 > 4096, beta = 6.12e-7 needs 4095
+    code, _, err = run_cli(capsys, ["density", "--beta", "6.10e-7", "--grid-x", "2", "--grid-t", "2"])
+    assert code == 2
+    assert "cutoff 4101" in err
+    code, out, _ = run_cli(capsys, ["density", "--beta", "6.12e-7", "--grid-x", "2", "--grid-t", "2"])
+    assert code == 0
+    assert len(data_lines(out)) == 1 + 2 * 2
 
 
 def test_help_exits_0(capsys):

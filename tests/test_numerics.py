@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetawell.density import density, period
 from thetawell.numerics import (
     DEFAULT_TRUNCATION,
     FieldSample,
@@ -16,7 +18,9 @@ from thetawell.numerics import (
     cutoff_for,
     finite_diff,
     integrate,
+    tagged,
 )
+from thetawell.wavefunction import QuantumState
 
 
 def brute_cutoff(beta, tol):
@@ -93,22 +97,75 @@ def test_simpson_exact_on_cubics():
 
 def test_simpson_fourth_order():
     exact = 1.0 - math.cos(1.0)
-    err = [abs(integrate(math.sin, 0.0, 1.0, n) - exact) for n in (8, 16, 32)]
+    err = [abs(integrate(np.sin, 0.0, 1.0, n) - exact) for n in (8, 16, 32)]
     assert err[0] / err[1] > 8.0
     assert err[1] / err[2] > 8.0
     assert err[2] < 1e-9
 
 
-def test_simpson_endpoint_override():
-    # sin(x)/x has a removable singularity at 0; Si(1) from a 40-digit oracle
-    si1 = 0.9460830703671830149413533138231796578123
-    val = integrate(lambda x: math.sin(x) / x, 0.0, 1.0, 128, fa=1.0)
-    assert val == pytest.approx(si1, abs=1e-12)
-
-
 def test_simpson_rejects_non_integrable():
     with pytest.raises(NonIntegrableSampleError):
-        integrate(lambda x: math.inf if x > 0.5 else 0.0, 0.0, 1.0, 4)
+        integrate(lambda x: np.where(x > 0.5, math.inf, 0.0), 0.0, 1.0, 4)
+
+
+def test_simpson_rows_equal_per_row_calls():
+    # a 2-D integrand gives one integral per row, each equal to its own 1-D call
+    coefs = np.array([0.5, -1.25, 3.0])
+    rows = integrate(lambda x: coefs[:, None] * x * x, 0.0, 2.0, 7)
+    assert rows.shape == (3,)
+    for c, row in zip(coefs, rows):
+        assert row == integrate(lambda x: c * x * x, 0.0, 2.0, 7)
+    # the registry's time average: one (x, t) density grid against per-x calls
+    state = QuantumState(1, 0.1)
+    t_mu = period(state)
+    xs = np.linspace(0.0, 1.0, 9)
+    grid = integrate(lambda t: density(xs[:, None], t, state), 0.0, t_mu, 63)
+    for x, row in zip(xs, grid):
+        assert row == integrate(lambda t: density(float(x), t, state), 0.0, t_mu, 63)
+
+
+def simpson_loop(f, a, b, n_panels):
+    # the point-by-point reference: one call per node, summed in node order
+    n = 2 * n_panels
+    h = (b - a) / n
+    total = 0.0
+    for i in range(n + 1):
+        w = 1.0 if i in (0, n) else (4.0 if i % 2 else 2.0)
+        total += w * float(f(a + i * h))
+    return total * h / 3.0
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.1, 1e-3])
+def test_simpson_matches_loop_reference(beta):
+    # the sum is pairwise now, not in node order: agreement within the
+    # rounding bound (n + 1) eps sum |w y| h / 3, fixed from the dtype
+    state = QuantumState(2, beta)
+    t = 0.31 * period(state)
+    for f in (lambda x: density(x, t, state), lambda x: np.sin(40.0 * x) * np.exp(x)):
+        got = integrate(f, 0.0, 1.0, 512)
+        want = simpson_loop(f, 0.0, 1.0, 512)
+        bound = 1025 * np.finfo(float).eps * simpson_loop(lambda x: abs(f(x)), 0.0, 1.0, 512)
+        assert abs(got - want) <= bound
+
+
+def test_simpson_calls_integrand_once_on_the_nodes():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.ones_like(x)
+
+    assert integrate(f, 0.5, 1.5, 4) == 1.0
+    assert len(calls) == 1
+    assert calls[0].tolist() == [0.5 + i * 0.125 for i in range(9)]
+
+
+def test_simpson_names_the_non_finite_node():
+    with pytest.raises(NonIntegrableSampleError, match=r"x=0\.625: nan"):
+        integrate(lambda x: np.where(x == 0.625, math.nan, x), 0.0, 1.0, 4)
+    # in a 2-D integrand the node is named by its column
+    with pytest.raises(NonIntegrableSampleError, match=r"x=0\.25: -inf"):
+        integrate(lambda x: np.stack([x, np.where(x == 0.25, -math.inf, x)]), 0.0, 1.0, 4)
 
 
 def test_finite_diff_orders():
@@ -131,3 +188,29 @@ def test_field_sample_consistency():
         FieldSample(math.nan, FieldTag.FINITE)
     with pytest.raises(ValueError):
         FieldSample(1.0, FieldTag.POLE)
+
+
+def test_field_sample_arrays():
+    tags = np.array([FieldTag.FINITE, FieldTag.POLE, FieldTag.NODE_UNDEFINED], dtype=object)
+    grid = FieldSample(np.array([1.5, math.nan, math.nan]), tags)
+    assert grid.is_finite.tolist() == [True, False, False]
+    # a tag that disagrees with its value, either way, is refused
+    with pytest.raises(ValueError):
+        FieldSample(np.array([1.5, 2.0, math.nan]), tags)
+    with pytest.raises(ValueError):
+        FieldSample(np.array([math.nan, math.nan, math.nan]), tags)
+    # so is a tag array of another shape
+    with pytest.raises(ValueError):
+        FieldSample(np.array([1.5, math.nan]), tags)
+    with pytest.raises(ValueError):
+        FieldSample(np.array([1.5]), FieldTag.FINITE)
+
+
+def test_tagged_points_and_grids():
+    point = tagged(np.float64(2.0), np.True_, FieldTag.POLE)
+    assert point.value == 2.0 and type(point.value) is float and point.tag is FieldTag.FINITE
+    hole = tagged(np.float64(math.inf), np.False_, FieldTag.POLE)
+    assert math.isnan(hole.value) and hole.tag is FieldTag.POLE
+    grid = tagged(np.array([[1.0, math.inf]]), np.array([[True, False]]), FieldTag.NODE_UNDEFINED)
+    assert grid.tag.tolist() == [[FieldTag.FINITE, FieldTag.NODE_UNDEFINED]]
+    assert grid.value[0, 0] == 1.0 and math.isnan(grid.value[0, 1])

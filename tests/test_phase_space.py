@@ -8,9 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetawell.density import density, period
-from thetawell.numerics import FieldTag, Truncation, cutoff_for, finite_diff, integrate
+from thetawell.numerics import (
+    DEFAULT_TRUNCATION,
+    FieldTag,
+    Truncation,
+    cutoff_for,
+    finite_diff,
+    integrate,
+)
 from thetawell.phase_space import (
     DENSITY_FLOOR,
+    _probe_velocity,
     continuity_residual,
     energy_law_residual,
     flux,
@@ -253,6 +261,25 @@ def test_energy_density_pole_at_walls():
         ms = moments(x, 0.23 * T, STATE)
         assert ms.energy_density.tag is FieldTag.POLE
         assert math.isnan(ms.energy_density.value)
+
+
+@pytest.mark.parametrize("mu,beta", [(1, 0.1), (2, 0.02), (3, 1e-3)])
+def test_probe_velocity_matches_per_point_definition(mu, beta):
+    # the node center of the central moments: the mean of flux/density over
+    # the admissible probes x -+ delta with density above the floor, 0 if none
+    state = QuantumState(mu, beta)
+    t_mu = period(state)
+    delta, floor = 1e-6 * L, DENSITY_FLOOR / L
+    xs = np.array([k / mu for k in range(mu + 1)] * 3)  # walls and stationary nodes
+    ts = np.repeat([0.0, 0.29 * t_mu, 0.5 * t_mu], mu + 1)
+    got = _probe_velocity(xs, ts, state, NATURAL_UNITS, DEFAULT_TRUNCATION)
+    for x, t, v in zip(xs, ts, got):
+        ratios = [
+            flux(xx, float(t), state) / density(xx, float(t), state)
+            for xx in (float(x) - delta, float(x) + delta)
+            if 0.0 < xx < L and density(xx, float(t), state) >= floor
+        ]
+        assert v == (math.fsum(ratios) / len(ratios) if ratios else 0.0)
 
 
 def test_energy_density_goes_negative():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,29 @@ def test_partition_norm_identity_other_units():
     state = QuantumState(mu=2, beta=0.3)
     z = partition(gibbs_params(state, sys), state, sys)
     assert z * sys.l == pytest.approx(norm_constant(state, sys), rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1e-4, 3e-4, 1e-3, 0.01, 0.1, 0.7, 1.0, 5.0, 20.0, 50.0])
+@pytest.mark.parametrize(
+    "mu,sys",
+    [
+        (1, NATURAL_UNITS),
+        (7, SystemParams(m=2.0, l=3.0, hbar=0.5)),
+        (50, SystemParams(m=0.3, l=1.7, hbar=2.2)),
+    ],
+)
+def test_partition_precision_oracle(beta, mu, sys):
+    """Z against mpmath's jtheta(2, 0, exp(-2 pi beta)) at 30 digits.
+
+    Z = sum over odd m of exp(-(pi beta / 2) m^2) = jtheta(2, 0, q) with
+    q = exp(-2 pi beta), for every level and unit system.  The terms are
+    positive, so the tolerance 1e-12 of sum |term|, fixed in advance, is
+    1e-12 of Z.
+    """
+    state = QuantumState(mu, beta)
+    with mpmath.workdps(30):
+        want = float(mpmath.jtheta(2, 0, mpmath.exp(-2 * mpmath.pi * mpmath.mpf(beta))))
+    assert abs(partition(gibbs_params(state, sys), state, sys) - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.4, 0.7, 2.0])

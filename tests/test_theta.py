@@ -3,12 +3,15 @@
 import cmath
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetawell.numerics import Truncation
 from thetawell.theta import ThetaArgs, heat_identity_residual, theta1, theta_char
+from thetawell.wavefunction import NATURAL_UNITS, QuantumState, SystemParams, derived_scales
 
 TIGHT = Truncation(tol=1e-16, max_index=4096)
 
@@ -88,3 +91,77 @@ def test_heat_identity_second_order():
     r1 = heat_identity_residual(args, 2e-3, TIGHT)
     r2 = heat_identity_residual(args, 1e-3, TIGHT)
     assert r1 / r2 > 3.0  # central stencils: residual shrinks ~4x per halving
+
+
+
+def mp_theta_char(a, b, z, tau):
+    """theta[a, b](z, tau) from mpmath's Jacobi thetas to 30 digits, and the sum of |term|.
+
+    With q = exp(i pi tau), theta[a, b](z, tau) equals
+    exp(pi i tau a^2 + 2 pi i a (z + b)) jtheta(3, pi (z + b + a tau), q),
+    and for a = 1/2 also jtheta(2, pi (z + b), q).  The second form is used
+    there: the first hands jtheta an argument with imaginary part
+    pi Im(tau) / 2, and at Im(tau) = 50, z = 43.55 mpmath's jtheta returns
+    1e24 for a value of 2e-17.  Fifteen guard digits keep the first form's
+    30 digits for other a (at 30 working digits it is 1.2e-12 off at
+    Im(tau) = 50, a = 0.3).
+    """
+    with mpmath.workdps(45):
+        a, b, z, tau = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpc(z), mpmath.mpc(tau)
+        q = mpmath.exp(1j * mpmath.pi * tau)
+        if a == 0.5:
+            value = mpmath.jtheta(2, mpmath.pi * (z + b), q)
+        else:
+            pre = mpmath.exp(1j * mpmath.pi * tau * a * a + 2j * mpmath.pi * a * (z + b))
+            value = pre * mpmath.jtheta(3, mpmath.pi * (z + b + a * tau), q)
+        value = complex(value)
+    # |term k| = exp(-pi Im(tau) (k+a)^2 - 2 pi Im(z) (k+a)), summed past 1e-40 of the largest
+    a, im_z, im_tau = float(a), complex(z).imag, complex(tau).imag
+    center = round(-a - im_z / im_tau)
+    reach = int(math.sqrt(40.0 * math.log(10.0) / (math.pi * im_tau))) + 2
+    ka = np.arange(center - reach, center + reach + 1) + a
+    scale = float(np.sum(np.exp(-math.pi * im_tau * ka * ka - 2.0 * math.pi * im_z * ka)))
+    return value, scale
+
+
+CHARACTERISTICS = [(0.5, 0.5), (0.5, 0.0), (0.0, 0.0), (0.0, 0.5), (0.3, -0.7)]
+
+
+@pytest.mark.parametrize("beta", [1e-4, 1e-3, 0.02, 0.1, 1.0, 10.0, 50.0])
+@pytest.mark.parametrize(
+    "mu,sys",
+    [
+        (1, NATURAL_UNITS),
+        (7, SystemParams(m=2.0, l=3.0, hbar=0.5)),
+        (50, SystemParams(m=0.3, l=1.7, hbar=2.2)),
+    ],
+)
+def test_theta_char_precision_oracle(beta, mu, sys):
+    """The well's theta arguments against mpmath; tolerance 1e-12 of sum |term|, fixed in advance.
+
+    z = mu x / l and tau = -mu^2 (2 pi hbar / (m l^2)) t + i beta over the
+    well and one period, for each characteristic; plus z a quarter and one
+    lattice row off the real axis.
+    """
+    t_mu = derived_scales(QuantumState(mu, beta), sys).T_mu
+    tau_rate = mu**2 * 2.0 * math.pi * sys.hbar / (sys.m * sys.l**2)
+    points = [(0.0, 0.0, 0.0), (0.23, 0.37, 0.0), (0.871, 0.05, 0.0), (1.0, 0.59, 0.0)]
+    points += [(0.5, 0.81, 0.25), (0.31, 0.2, 1.0)]
+    for x_frac, t_frac, rows in points:
+        z = complex(mu * x_frac, rows * beta)
+        tau = complex(-tau_rate * t_frac * t_mu, beta)
+        for a, b in CHARACTERISTICS:
+            got = theta_char(ThetaArgs(a, b, z, tau))
+            want, scale = mp_theta_char(a, b, z, tau)
+            assert abs(got - want) <= 1e-12 * scale, (a, b, x_frac, t_frac, rows)
+
+
+@pytest.mark.parametrize("beta", [1e-3, 0.02])
+def test_theta_char_window_follows_complex_z(beta):
+    # Im z = 0.1 moves the weight center to k = -a - 0.1/beta, 100 and 5
+    # indices off -a; a window centered on -a misses the largest terms
+    tau = complex(-0.3, beta)
+    for a, b in CHARACTERISTICS:
+        z = complex(0.4, 0.1)
+        want, scale = mp_theta_char(a, b, z, tau)
+        assert abs(theta_char(ThetaArgs(a, b, z, tau)) - want) <= 1e-12 * scale, (a, b)

@@ -74,7 +74,7 @@ def test_psi_normalized_by_quadrature():
     state = QuantumState(2, 0.3)
     sys = SystemParams(m=1.3, l=0.8, hbar=0.9)
     t = 0.4 * derived_scales(state, sys).T_mu
-    total = integrate(lambda x: abs(psi(x, t, state, sys)) ** 2, 0.0, sys.l, 512)
+    total = integrate(lambda x: np.abs(psi(x, t, state, sys)) ** 2, 0.0, sys.l, 512)
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
