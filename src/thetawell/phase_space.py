@@ -170,19 +170,13 @@ def wigner_comb(
     """
     _check_domain(x, sys)
     rows = comb_rows(x, t, state, sys, trunc)
-    scales = derived_scales(state, sys)
+    p_unit = derived_scales(state, sys).P_unit
     scale = 1.0 / (sys.hbar * sys.l * rows.norm)
-    atoms = []
-    for q in range(rows.m_max, 0, -1):
-        atoms.append(
-            WignerAtom(s=-q, momentum=-q * scales.P_unit, weight=float(rows.minus[q]) * scale)
-        )
-    atoms.append(WignerAtom(s=0, momentum=0.0, weight=float(rows.plus[0]) * scale))
-    for q in range(1, rows.m_max + 1):
-        atoms.append(
-            WignerAtom(s=q, momentum=q * scales.P_unit, weight=float(rows.plus[q]) * scale)
-        )
-    return WignerComb(x=float(x), t=float(t), atoms=tuple(atoms))
+    atoms = tuple(
+        WignerAtom(s=s, momentum=s * p_unit, weight=float(row) * scale)
+        for s, row in zip(range(-rows.m_max, rows.m_max + 1), rows.by_label())
+    )
+    return WignerComb(x=float(x), t=float(t), atoms=atoms)
 
 
 def _probe_velocity(
@@ -225,8 +219,8 @@ def velocity_field(
 
 
 def velocity_from_vlasov(
-    x: float,
-    t: float,
+    x,
+    t,
     state: QuantumState,
     sys: SystemParams = NATURAL_UNITS,
     trunc: Truncation = DEFAULT_TRUNCATION,
@@ -236,19 +230,17 @@ def velocity_from_vlasov(
     Both the numerator and the denominator are rebuilt from the Chebyshev comb
     route, independent of ``velocity_field``'s series; the node test uses the
     same canonical density so the two paths are undefined at identical points.
+    Broadcasts over x and t, and a grid call equals per-point calls bit for
+    bit (see ``CombRows.sums``).
     """
     f = density(x, t, state, sys, trunc)
-    if f < _floor_for(sys):
-        return FieldSample(math.nan, FieldTag.NODE_UNDEFINED)
     rows = comb_rows(x, t, state, sys, trunc)
-    scales = derived_scales(state, sys)
+    total, first = rows.sums()
     den = sys.l * rows.norm
-    f_comb = float(np.sum(rows.plus) + np.sum(rows.minus)) / den
-    sig = rows.sigmas.astype(float)
-    phi_comb = (
-        (scales.P_unit / sys.m) * float(sig @ (rows.plus - rows.minus)) / den
-    )
-    return FieldSample(phi_comb / f_comb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_comb = total / den
+        phi_comb = derived_scales(state, sys).P_unit / sys.m * first / den
+        return tagged(phi_comb / f_comb, f >= _floor_for(sys), FieldTag.NODE_UNDEFINED)
 
 
 def moments(

@@ -170,6 +170,22 @@ class CombRows:
     norm: float
     m_max: int
 
+    def by_label(self) -> np.ndarray:
+        """The rows for s = -m_max, ..., m_max in order: shape (2 m_max + 1, *points)."""
+        return np.concatenate([self.minus[:0:-1], self.plus])
+
+    def sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per point, sum_s C_s and sum_s s C_s, the comb's zeroth and first momentum sums.
+
+        Each point's rows are reduced over a contiguous last axis, as for one
+        point, so a grid rounds exactly like per-point calls; a reduction over
+        the row axis, or a matrix product, would round differently.
+        """
+        plus = np.ascontiguousarray(np.moveaxis(self.plus, 0, -1))
+        minus = np.ascontiguousarray(np.moveaxis(self.minus, 0, -1))
+        total = np.add.reduce(plus, axis=-1) + np.add.reduce(minus, axis=-1)
+        return total, np.vecdot(plus - minus, self.sigmas.astype(float))
+
 
 def comb_rows(
     x,

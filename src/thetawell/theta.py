@@ -28,6 +28,7 @@ from .numerics import DEFAULT_TRUNCATION, Truncation, cutoff_for
 __all__ = ["ThetaArgs", "theta_char", "theta1", "heat_identity_residual"]
 
 _TWO_PI_I = 2j * math.pi
+_VELTKAMP = 134217729.0  # 2**27 + 1
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,19 @@ def _index_window(center: float, cutoff: int) -> np.ndarray:
     return ks[order]
 
 
+def _turns(c: float, n: np.ndarray) -> np.ndarray:
+    """c * n reduced mod 1, exactly for integers |n| < 2**27.
+
+    Veltkamp's split writes c as two halves of 26 significant bits, so each
+    half times n is an exact double and p - round(p) is its exact fraction.
+    """
+    big = c * _VELTKAMP
+    hi = big - (big - c)
+    lo = c - hi
+    p, q = hi * n, lo * n
+    return (p - np.round(p)) + (q - np.round(q))
+
+
 def theta_char(args: ThetaArgs, trunc: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Evaluate the theta series, truncated per the tail-bound policy.
 
@@ -65,6 +79,11 @@ def theta_char(args: ThetaArgs, trunc: Truncation = DEFAULT_TRUNCATION) -> compl
     sum), and the index window is centered on the Gaussian weight center
     k = -a - Im(z)/Im(tau), so it holds the largest terms for complex z too.
     Terms are summed center-out, largest magnitude first.
+
+    The phase Re(tau) (k+a)^2 / 2 + Re(z+b) (k+a) is taken in turns,
+    expanded in the integer k; each coefficient times k^2 or k is reduced
+    mod 1 exactly.  At small Im(tau) those products reach 1e6 turns, where
+    rounding them directly would cost 1e-12 of sum |term|.
     """
     shift = round(args.a)
     a = args.a - shift  # a in [-1/2, 1/2], series invariant under integer shifts
@@ -74,8 +93,17 @@ def theta_char(args: ThetaArgs, trunc: Truncation = DEFAULT_TRUNCATION) -> compl
     cutoff = cutoff_for(tau.imag, trunc)
     ks = _index_window(a + z.imag / tau.imag, cutoff)
     ka = ks + a
-    exponent = 1j * math.pi * tau * ka * ka + _TWO_PI_I * (z + b) * ka
-    return complex(np.sum(np.exp(exponent)))
+    k = ks.astype(float)
+    half = tau.real / 2.0
+    turns = (
+        _turns(half, k * k)
+        + _turns(tau.real * a, k)
+        + _turns(z.real, k)
+        + _turns(b, k)
+        + (half * a * a + (z.real + b) * a)
+    )
+    modulus = -math.pi * tau.imag * ka * ka - 2.0 * math.pi * z.imag * ka
+    return complex(np.sum(np.exp(modulus + _TWO_PI_I * turns)))
 
 
 def theta1(z: complex, tau: complex, trunc: Truncation = DEFAULT_TRUNCATION) -> complex:

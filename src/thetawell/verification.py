@@ -29,9 +29,8 @@ from .phase_space import (
     pressure_gradient,
     velocity_field,
     velocity_from_vlasov,
-    wigner_comb,
 )
-from .series import build_table, folded_sum
+from .series import build_table, comb_rows, folded_sum
 from .thermo import (
     _time_panels,
     double_avg_energy,
@@ -80,15 +79,9 @@ def _check_normalization(sys: SystemParams, trunc: Truncation) -> CheckResult:
     for mu in (1, 2, 5):
         for beta in (0.05, 0.1, 1.0, 10.0):
             state = QuantumState(mu, beta)
-            t_mu = period(state, sys)
-            for t in rng.uniform(0.0, t_mu, size=5):
-                total = integrate(
-                    lambda x: np.abs(psi(x, float(t), state, sys, trunc)) ** 2,
-                    0.0,
-                    sys.l,
-                    512,
-                )
-                worst = max(worst, abs(total - 1.0))
+            ts = rng.uniform(0.0, period(state, sys), size=5)[:, None]
+            totals = integrate(lambda x: np.abs(psi(x, ts, state, sys, trunc)) ** 2, 0.0, sys.l, 512)
+            worst = max(worst, float(np.max(np.abs(totals - 1.0))))
     return CheckResult(
         name="normalization",
         passed=worst < 1e-10,
@@ -103,14 +96,10 @@ def _check_schrodinger(sys: SystemParams, trunc: Truncation) -> CheckResult:
     state = QuantumState(1, 0.5)
     scales = derived_scales(state, sys)
     t_mu = scales.T_mu
-    h_x, h_t = 1e-4 * sys.l, 1e-4 * t_mu
-    worst = 0.0
-    for _ in range(50):
-        x = float(rng.uniform(0.05 * sys.l, 0.95 * sys.l))
-        t = float(rng.uniform(0.0, t_mu))
-        amp = abs(psi(x, t, state, sys, trunc))
-        resid = schrodinger_residual(x, t, state, sys, h_x, h_t, trunc)
-        worst = max(worst, resid / (scales.E_mu / sys.hbar * sys.hbar * amp))
+    xs, ts = rng.uniform([0.05 * sys.l, 0.0], [0.95 * sys.l, t_mu], size=(50, 2)).T
+    amp = np.abs(psi(xs, ts, state, sys, trunc))
+    resid = schrodinger_residual(xs, ts, state, sys, 1e-4 * sys.l, 1e-4 * t_mu, trunc)
+    worst = float(np.max(resid / (scales.E_mu / sys.hbar * sys.hbar * amp)))
     return CheckResult(
         name="schrodinger-residual",
         passed=worst < 1e-5,
@@ -195,14 +184,10 @@ def _check_time_average(sys: SystemParams, trunc: Truncation) -> CheckResult:
 def _check_wigner_marginal(
     sys: SystemParams, trunc: Truncation, state: QuantumState
 ) -> CheckResult:
-    t_mu = period(state, sys)
-    worst = 0.0
-    for t in np.linspace(0.0, t_mu, 11):
-        for x in np.linspace(0.0, sys.l, 51):
-            comb = wigner_comb(float(x), float(t), state, sys, trunc)
-            worst = max(
-                worst, abs(comb.marginal(sys) - density(float(x), float(t), state, sys, trunc))
-            )
+    xs, ts = np.linspace(0.0, sys.l, 51), np.linspace(0.0, period(state, sys), 11)[:, None]
+    rows = comb_rows(xs, ts, state, sys, trunc)
+    marginal = rows.sums()[0] / (sys.l * rows.norm)  # hbar * sum of the atoms' weights
+    worst = float(np.max(np.abs(marginal - density(xs, ts, state, sys, trunc))))
     return CheckResult(
         name="wigner-marginal",
         passed=worst < 1e-10,
@@ -216,19 +201,16 @@ def _check_comb_transport(
     sys: SystemParams, trunc: Truncation, state: QuantumState
 ) -> CheckResult:
     rng = np.random.default_rng(_SEED)
-    t_mu = period(state, sys)
+    xs, ts = rng.uniform([0.0, 0.0], [sys.l, period(state, sys)], size=(20, 2)).T
     cell = sys.l / state.mu  # x-period of every comb coefficient
-    worst = 0.0
-    for _ in range(20):
-        x = float(rng.uniform(0.0, sys.l))
-        t = float(rng.uniform(0.0, t_mu))
-        now = {a.s: a.weight for a in wigner_comb(x, t, state, sys, trunc).atoms}
-        for s in range(-3, 4):
-            atom_momentum = s * derived_scales(state, sys).P_unit
-            x0 = (x - atom_momentum / sys.m * t) % cell
-            before = wigner_comb(x0, 0.0, state, sys, trunc)
-            w0 = {a.s: a.weight for a in before.atoms}[s]
-            worst = max(worst, abs(now[s] - w0))
+    labels = np.arange(-3, 4)
+    momenta = labels[:, None] * derived_scales(state, sys).P_unit
+    now = comb_rows(xs, ts, state, sys, trunc)
+    before = comb_rows((xs - momenta / sys.m * ts) % cell, 0.0, state, sys, trunc)
+    rows = labels + now.m_max  # row s at every point; in ``before``, at the points shifted for s
+    scale = 1.0 / (sys.hbar * sys.l * now.norm)  # the atoms' weights, as in wigner_comb
+    diff = now.by_label()[rows] * scale - before.by_label()[rows, np.arange(labels.size)] * scale
+    worst = float(np.max(np.abs(diff)))
     return CheckResult(
         name="comb-transport",
         passed=worst < 1e-10,
@@ -244,14 +226,11 @@ def _check_velocity(sys: SystemParams, trunc: Truncation, state: QuantumState) -
 
     xs, ts = np.linspace(0.0, sys.l, 21), np.linspace(0.0, t_mu, 11)
     v1 = velocity_field(xs[:, None], ts[None, :], state, sys, trunc)
-    two_path = 0.0
-    for i, x in enumerate(xs):
-        for j, t in enumerate(ts):
-            v2 = velocity_from_vlasov(float(x), float(t), state, sys, trunc)
-            if v1.tag[i, j] is not v2.tag:
-                two_path = math.inf
-            elif v2.is_finite:
-                two_path = max(two_path, abs(v1.value[i, j] - v2.value))
+    v2 = velocity_from_vlasov(xs[:, None], ts[None, :], state, sys, trunc)
+    if np.any(v1.tag != v2.tag):
+        two_path = math.inf
+    else:
+        two_path = float(np.max(np.abs(v1.value - v2.value)[v2.is_finite], initial=0.0))
 
     v = velocity_field(np.linspace(0.02 * sys.l, 0.98 * sys.l, 49), 0.0, state, sys, trunc)
     start = float(np.max(np.abs(v.value[v.is_finite]), initial=0.0))

@@ -150,9 +150,9 @@ def norm_constant(
 
 def _check_domain(x, sys: SystemParams) -> None:
     """Raise ValueError unless every x lies in the closed well [0, l]."""
-    # a float skips numpy here and in _phase_coords: scalar psi calls and the
-    # comb and finite-difference routes take one point per call, and boxing
-    # would dominate those calls
+    # a float skips numpy here and in _phase_coords: scalar psi, wigner_comb
+    # and the finite-difference law routes take one point per call, and
+    # boxing would dominate those calls
     if isinstance(x, float):
         inside = 0.0 <= x <= sys.l
     else:
@@ -194,9 +194,8 @@ def _jet_table(
     (i kx m)^k once the odd orders' 2i sin((u/2) m) is taken out.
     Read-only, shared by callers.
     """
-    k = cutoff_for(beta, trunc)
-    m = np.arange(1, 2 * k + 2, 2, dtype=float)
-    amp = 2.0 * np.exp(-math.pi * beta / 4.0 * (m * m - 1.0))
+    modes = mode_table(beta / 2.0, trunc)  # weights exp(-(pi*beta/4)(m^2-1))
+    m, amp = modes.m, 2.0 * modes.w
     kx = math.pi * mu / l
     c = np.array([1.0, -kx, -kx * kx, kx * kx * kx])
     weights = c[:, None] * (amp * m ** np.arange(4)[:, None])
@@ -343,38 +342,44 @@ def stationary_psi(
 
 
 def schrodinger_residual_of(
-    wave: Callable[[float, float], complex],
-    x: float,
-    t: float,
+    wave: Callable,
+    x,
+    t,
     sys: SystemParams,
     h_x: float,
     h_t: float,
-) -> float:
+):
     """|i hbar dw/dt + (hbar^2/2m) d2w/dx2| with central differences, O(h^2).
 
     The free equation inside the well (zero potential).  The five-point
-    stencil must stay inside the open interval (0, l).
+    stencil must stay inside the open interval (0, l).  Broadcasts over x
+    and t when ``wave`` does; real and imaginary parts are combined apart,
+    so a grid rounds exactly like per-point calls.
     """
     if not (h_x > 0.0 and h_t > 0.0):
         raise ValueError("h_x and h_t must be positive")
-    if not (0.0 < x - h_x and x + h_x < sys.l):
+    if not np.all((x - h_x > 0.0) & (x + h_x < sys.l)):
         raise ValueError(f"x stencil [{x - h_x}, {x + h_x}] leaves the open well (0, {sys.l})")
-    w_c = wave(x, t)
-    d2x = (wave(x + h_x, t) - 2.0 * w_c + wave(x - h_x, t)) / (h_x * h_x)
-    dt = (wave(x, t + h_t) - wave(x, t - h_t)) / (2.0 * h_t)
-    return abs(1j * sys.hbar * dt + sys.hbar**2 / (2.0 * sys.m) * d2x)
+    w_c, w_xp, w_xm = wave(x, t), wave(x + h_x, t), wave(x - h_x, t)
+    w_tp, w_tm = wave(x, t + h_t), wave(x, t - h_t)
+    d2x_re = (w_xp.real - 2.0 * w_c.real + w_xm.real) / (h_x * h_x)
+    d2x_im = (w_xp.imag - 2.0 * w_c.imag + w_xm.imag) / (h_x * h_x)
+    dt_re = (w_tp.real - w_tm.real) / (2.0 * h_t)
+    dt_im = (w_tp.imag - w_tm.imag) / (2.0 * h_t)
+    k = sys.hbar**2 / (2.0 * sys.m)
+    return _unbox(np.hypot(k * d2x_re - sys.hbar * dt_im, sys.hbar * dt_re + k * d2x_im))
 
 
 def schrodinger_residual(
-    x: float,
-    t: float,
+    x,
+    t,
     state: QuantumState,
     sys: SystemParams = NATURAL_UNITS,
     h_x: float = 1e-4,
     h_t: float = 1e-4,
     trunc: Truncation = DEFAULT_TRUNCATION,
-) -> float:
-    """Finite-difference free-equation residual of ``psi`` at (x, t).
+):
+    """Finite-difference free-equation residual of ``psi`` at (x, t); broadcasts over x, t.
 
     ``h_x`` and ``h_t`` are absolute steps in the caller's units; pick them
     around 1e-4 of l and of the period for the O(h^2) regime.

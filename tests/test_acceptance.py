@@ -165,12 +165,26 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
-def test_normalization_makes_one_psi_call_per_integral(monkeypatch):
-    # 3 levels x 4 widths x 5 times: each integral samples psi once on its nodes
-    calls = _count_calls(monkeypatch, verification, "psi")
-    assert run_check("normalization").passed
-    assert len(calls) == 60
-    assert all(np.shape(args[0]) == (1025,) for args in calls)
+@pytest.mark.parametrize(
+    "check,field,grids",
+    [
+        # 3 levels x 4 widths: psi once on the 1,025 nodes, the 5 times as rows
+        ("normalization", "psi", [(5, 1025)] * 12),
+        ("schrodinger-residual", "schrodinger_residual", [(50,)]),
+        ("wigner-marginal", "comb_rows", [(11, 51)]),
+        ("wigner-marginal", "density", [(11, 51)]),
+        # the 20 points, then for s = -3..3 the points shifted back to t = 0
+        ("comb-transport", "comb_rows", [(20,), (7, 20)]),
+        ("velocity-two-path", "velocity_from_vlasov", [(21, 11)]),
+    ],
+    ids=["normalization", "schrodinger", "marginal-comb", "marginal-density", "transport", "velocity"],
+)
+def test_sampling_check_makes_one_call_per_grid(check, field, grids, monkeypatch):
+    calls = _count_calls(monkeypatch, verification, field)
+    assert run_check(check).passed
+    assert [np.broadcast_shapes(np.shape(args[0]), np.shape(args[1])) for args in calls] == grids
+    if check == "comb-transport":
+        assert calls[1][1] == 0.0
 
 
 def test_double_avg_energy_makes_one_grid_call_per_state(monkeypatch):

@@ -3,7 +3,9 @@
 Each field broadcasts over x and t, so the CLI and the registry make one call
 per grid.  These properties pin that the grid route rounds exactly like the
 point route, value and tag, including the walls (x = 0, l), the stationary
-nodes x = k l / mu where the density vanishes, and t = 0.
+nodes x = k l / mu where the density vanishes, and t = 0.  The comb route
+(``velocity_from_vlasov``) and the Schrodinger residual are pinned the same
+way; the residual's stencil must stay inside the walls.
 """
 
 import numpy as np
@@ -13,9 +15,15 @@ from hypothesis import strategies as st
 
 from thetawell.density import period
 from thetawell.numerics import FieldTag
-from thetawell.phase_space import moments, velocity_field
+from thetawell.phase_space import moments, velocity_field, velocity_from_vlasov
 from thetawell.thermo import avg_energy_profile, quantum_potential, quantum_potential_gradient
-from thetawell.wavefunction import NATURAL_UNITS, QuantumState, SystemParams, psi
+from thetawell.wavefunction import (
+    NATURAL_UNITS,
+    QuantumState,
+    SystemParams,
+    psi,
+    schrodinger_residual,
+)
 
 BETAS = (1.0, 0.1, 0.02, 1e-3)
 SYSTEMS = (NATURAL_UNITS, SystemParams(m=1.3, l=0.8, hbar=0.9))
@@ -82,6 +90,32 @@ def test_velocity_field_grid_equals_points(beta, mu, sys, x_fracs, t_fracs):
 
 @point_cases
 @settings(max_examples=25, deadline=None)
+def test_velocity_from_vlasov_grid_equals_points(beta, mu, sys, x_fracs, t_fracs):
+    state = QuantumState(mu, beta)
+    xs, ts = _grid(mu, sys, x_fracs, t_fracs, state)
+    grid = velocity_from_vlasov(xs[None, :], ts[:, None], state, sys)
+    points = [velocity_from_vlasov(float(x), float(t), state, sys) for t in ts for x in xs]
+    _assert_same_samples(grid, points, (ts.size, xs.size))
+    assert all(tag is FieldTag.NODE_UNDEFINED for tag in grid.tag[:, [0, -1]].ravel())
+
+
+@point_cases
+@settings(max_examples=25, deadline=None)
+def test_schrodinger_residual_grid_equals_points(beta, mu, sys, x_fracs, t_fracs):
+    state = QuantumState(mu, beta)
+    xs, ts = _grid(mu, sys, np.clip(x_fracs, 0.01, 0.99), t_fracs, state)
+    xs = xs[1:-1]  # not the walls, where the stencil would leave the well
+    grid = schrodinger_residual(xs[None, :], ts[:, None], state, sys)
+    points = [schrodinger_residual(float(x), float(t), state, sys) for t in ts for x in xs]
+    assert grid.shape == (ts.size, xs.size)
+    assert all(isinstance(p, float) for p in points)
+    _assert_same(grid.ravel(), points)
+    with pytest.raises(ValueError):
+        schrodinger_residual(np.append(xs, sys.l), ts[0], state, sys)
+
+
+@point_cases
+@settings(max_examples=25, deadline=None)
 def test_moments_grid_equals_points(beta, mu, sys, x_fracs, t_fracs):
     state = QuantumState(mu, beta)
     xs, ts = _grid(mu, sys, x_fracs, t_fracs, state)
@@ -139,6 +173,9 @@ def test_fields_dense_grid_equals_points(beta):
     for name in ("density", "flux", "pressure", "heat_flux"):
         _assert_same(getattr(grid, name).ravel(), [getattr(p, name) for p in points])
     _assert_same_samples(grid.energy_density, [p.energy_density for p in points], shape)
-    for field in (velocity_field, quantum_potential, quantum_potential_gradient):
+    for field in (velocity_field, velocity_from_vlasov, quantum_potential, quantum_potential_gradient):
         grid = field(xs[None, :], ts[:, None], state, sys)
         _assert_same_samples(grid, [field(x, t, state, sys) for x, t in cells], shape)
+    inner = xs[1:-1]
+    grid = schrodinger_residual(inner[None, :], ts[:, None], state, sys)
+    _assert_same(grid.ravel(), [schrodinger_residual(x, t, state, sys) for t in ts for x in inner])

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from thetawell.numerics import Truncation
 from thetawell.theta import ThetaArgs, heat_identity_residual, theta1, theta_char
-from thetawell.wavefunction import NATURAL_UNITS, QuantumState, SystemParams, derived_scales
+from thetawell.wavefunction import (
+    NATURAL_UNITS,
+    QuantumState,
+    SystemParams,
+    derived_scales,
+    norm_constant,
+    psi,
+)
 
 TIGHT = Truncation(tol=1e-16, max_index=4096)
 
@@ -165,3 +172,72 @@ def test_theta_char_window_follows_complex_z(beta):
         z = complex(0.4, 0.1)
         want, scale = mp_theta_char(a, b, z, tau)
         assert abs(theta_char(ThetaArgs(a, b, z, tau)) - want) <= 1e-12 * scale, (a, b)
+
+
+def mp_direct_theta_char(a, b, z, tau):
+    """theta[a, b](z, tau) as a direct 40-digit sum, and the sum of |term|.
+
+    mpmath's jtheta cannot reach Im(tau) <= 1e-5, so the terms are summed
+    outward from the weight center by their exact ratios,
+    term(k +- 1) / term(k) = exp(i pi tau (+-2(k+a) + 1) +- 2 pi i (z+b)),
+    until they fall below 1e-20 of the largest.
+    """
+    a = a - round(a)
+    center = round(-a - z.imag / tau.imag)
+    reach = int(math.sqrt(20.0 * math.log(10.0) / (math.pi * tau.imag))) + 2
+    with mpmath.workdps(40):
+        a, b, z, tau = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpc(z), mpmath.mpc(tau)
+        ipi = 1j * mpmath.pi
+        ka = center + a
+        first = mpmath.exp(ipi * tau * ka * ka + 2 * ipi * (z + b) * ka)
+        q = mpmath.exp(2 * ipi * tau)
+        total, scale = first, abs(first)
+        for step in (1, -1):
+            term = first
+            ratio = mpmath.exp(ipi * tau * (2 * step * ka + 1) + 2 * step * ipi * (z + b))
+            for _ in range(reach):
+                term *= ratio
+                ratio *= q
+                total += term
+                scale += abs(term)
+        return complex(total), float(scale)
+
+
+@pytest.mark.parametrize("beta", [1e-6, 1e-5, 1e-4])
+def test_theta_char_phase_exact_at_small_beta(beta):
+    """Tolerance 1e-13 of sum |term|, fixed in advance.
+
+    At Im(tau) = beta the phases pi Re(tau) k^2 reach 1e6 rad while the
+    weights are still O(1); rounded directly, they cost up to 5e-12 of
+    sum |term| at these points.  The second point has Re(tau) past one
+    period; at 1e-4 a third has Im z = 0.1, whose weight center is
+    1000 indices off the real-axis one.
+    """
+    points = [(0.23, -0.37), (0.76544, -1.6563733)]
+    if beta == 1e-4:
+        points.append((complex(0.41, 0.1), -0.81))
+    for z, tau_re in points:
+        tau = complex(tau_re, beta)
+        for a, b in [(0.5, 0.5), (0.5, 0.0), (0.3, -0.7)]:
+            want, scale = mp_direct_theta_char(a, b, complex(z), tau)
+            got = theta_char(ThetaArgs(a, b, z, tau))
+            assert abs(got - want) <= 1e-13 * scale, (a, b, z, tau)
+
+
+# benchmark beta-ladder points at beta = 1e-6 (seed/point 31/508, 3/799,
+# 14/776, 74/130), where the theta_char route was 1.0e-10 to 1.5e-10 off psi
+# while its phases were rounded directly
+LADDER_POINTS = [
+    (0.7654391394445995, 0.13181156346475434),
+    (0.6405632077852829, 0.13795649156842602),
+    (0.9285315210737813, 0.14997973457114322),
+    (0.16155134450624553, 0.153851712151373),
+]
+
+
+@pytest.mark.parametrize("x,t", LADDER_POINTS)
+def test_psi_matches_theta_char_at_small_beta(x, t):
+    state = QuantumState(1, 1e-6)
+    tau = complex(-2.0 * math.pi * t, state.beta)  # -mu^2 (2 pi hbar / (m l^2)) t + i beta
+    want = theta_char(ThetaArgs(0.5, 0.5, x, tau)) / math.sqrt(norm_constant(state))
+    assert abs(psi(x, t, state) - want) <= 1e-10 * max(1.0, abs(want))
