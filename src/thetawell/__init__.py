@@ -38,12 +38,11 @@ from .phase_space import (
     MomentSet,
     WignerAtom,
     WignerComb,
-    continuity_residual,
-    energy_law_residual,
     flux,
     kinetic_energy_density,
+    moment_law_residual,
+    moment_rate,
     moments,
-    momentum_law_residual,
     pressure_gradient,
     velocity_field,
     velocity_from_vlasov,
@@ -103,13 +102,11 @@ __all__ = [
     "WignerComb",
     "averaged_density",
     "avg_energy_profile",
-    "continuity_residual",
     "cutoff_for",
     "density",
     "density_derivatives",
     "derived_scales",
     "double_avg_energy",
-    "energy_law_residual",
     "entropy",
     "entropy_from_factor",
     "finite_diff",
@@ -121,8 +118,9 @@ __all__ = [
     "integrate",
     "kinetic_energy_density",
     "mean_energy_gibbs",
+    "moment_law_residual",
+    "moment_rate",
     "moments",
-    "momentum_law_residual",
     "norm_constant",
     "partition",
     "partition_theta_form",

@@ -9,11 +9,15 @@ approximation.
 
 Every moment is a bilinear form in the wavefunction and its x-derivatives
 (``wavefunction.psi_jet``, O(K) per point): M0 = |psi|^2, the flux
-(hbar/m) Im(psi* psi'), and so on.  Two independent routes check them: the
-per-atom Chebyshev route (``series.comb_rows``), which ``velocity_from_vlasov``
-takes against ``velocity_field``, and the folded double series
-(``series.folded_sum``), from which ``pressure_gradient`` and the flux side of
-``continuity_residual`` are built.
+(hbar/m) Im(psi* psi'), and so on.  The Schrodinger equation turns the time
+derivative of each form into forms two orders up (``JetForms.dt``), so the
+moment hierarchy d M_k/dt + d M_{k+1}/dx = 0 (continuity for k = 0, the
+momentum, energy and heat-flux laws for k = 1, 2, 3) is checked without
+finite differences.  Two independent routes check the jet: the per-atom
+Chebyshev route (``series.comb_rows``), which ``velocity_from_vlasov`` takes
+against ``velocity_field``, and the folded double series
+(``series.folded_sum``), from which ``pressure_gradient`` and the gradient
+side of ``moment_law_residual`` are built.
 
 Fields that divide by the density carry a ``FieldTag``: below the density
 floor (walls, nodes) they are node-undefined or poles instead of fake large
@@ -34,7 +38,6 @@ from .numerics import (
     FieldSample,
     FieldTag,
     Truncation,
-    finite_diff,
     tagged,
 )
 from .series import build_table, comb_rows, folded_sum
@@ -61,9 +64,8 @@ __all__ = [
     "moments",
     "kinetic_energy_density",
     "pressure_gradient",
-    "continuity_residual",
-    "momentum_law_residual",
-    "energy_law_residual",
+    "moment_rate",
+    "moment_law_residual",
 ]
 
 # density below DENSITY_FLOOR / l counts as a node: division is refused there
@@ -126,6 +128,11 @@ class MomentSet:
     energy_density: FieldSample
 
 
+def _density_form(j: JetForms, sys: SystemParams):
+    """M0 = |psi|^2, the density."""
+    return j.re(0, 0)
+
+
 def _flux_form(j: JetForms, sys: SystemParams):
     """M1 = (hbar/m) Im(psi* psi'), the probability flux."""
     return sys.hbar / sys.m * j.im(0, 1)
@@ -135,6 +142,11 @@ def _m2_form(j: JetForms, sys: SystemParams):
     """M2 = (hbar^2/2m^2)(|psi'|^2 - Re(psi* psi'')), the second velocity moment."""
     hm = sys.hbar / sys.m
     return 0.5 * hm * hm * (j.re(1, 1) - j.re(0, 2))
+
+
+def _m3_form(j: JetForms, sys: SystemParams):
+    """M3 = -(hbar^3/4m^3)(Im(psi* psi''') - 3 Im(psi'* psi'')), the third velocity moment."""
+    return -0.25 * (sys.hbar / sys.m) ** 3 * (j.im(0, 3) - 3.0 * j.im(1, 2))
 
 
 def flux(
@@ -272,7 +284,7 @@ def moments(
     f = j.re(0, 0)
     phi = _flux_form(j, sys)
     m2 = _m2_form(j, sys)
-    m3 = -0.25 * (sys.hbar / sys.m) ** 3 * (j.im(0, 3) - 3.0 * j.im(1, 2))
+    m3 = _m3_form(j, sys)
     defined = f >= _floor_for(sys)
     with np.errstate(divide="ignore", invalid="ignore"):
         v = np.array(phi / f)
@@ -309,8 +321,8 @@ def kinetic_energy_density(
 
 
 def pressure_gradient(
-    x: float,
-    t: float,
+    x,
+    t,
     state: QuantumState,
     sys: SystemParams = NATURAL_UNITS,
     trunc: Truncation = DEFAULT_TRUNCATION,
@@ -322,128 +334,71 @@ def pressure_gradient(
     series; nothing comes from ``psi_jet``, so the momentum-law check's
     comparison with the quantum-potential gradient (built on the jet) compares
     two routes.  Node-undefined below the density floor, where the central
-    moment has no center.
+    moment has no center.  Broadcasts over x and t.
     """
     _check_domain(x, sys)
     table = build_table(state, trunc)
-    scales = derived_scales(state, sys)
     den = sys.l * table.norm
-    vu = scales.P_unit / sys.m
+    vu = derived_scales(state, sys).P_unit / sys.m
     ux = 2.0 * math.pi * state.mu / sys.l
 
-    f = folded_sum(table, x, t, state, sys, s_power=0, j_power=0, trig="cos") / den
-    if f < _floor_for(sys):
-        return FieldSample(math.nan, FieldTag.NODE_UNDEFINED)
-    f1 = -ux * folded_sum(table, x, t, state, sys, s_power=0, j_power=1, trig="sin") / den
-    phi = vu * folded_sum(table, x, t, state, sys, s_power=1, j_power=0, trig="cos") / den
-    phi1 = -vu * ux * folded_sum(table, x, t, state, sys, s_power=1, j_power=1, trig="sin") / den
-    m2_1 = (
-        -(vu**2) * ux * folded_sum(table, x, t, state, sys, s_power=2, j_power=1, trig="sin") / den
-    )
-    val = sys.m * (m2_1 - 2.0 * phi * phi1 / f + phi * phi * f1 / (f * f))
-    return FieldSample(val)
+    def series(s_power: int, j_power: int, trig: str) -> np.ndarray:
+        return np.asarray(
+            folded_sum(table, x, t, state, sys, s_power=s_power, j_power=j_power, trig=trig)
+        )
+
+    f = series(0, 0, "cos") / den
+    f1 = -ux * series(0, 1, "sin") / den
+    phi = vu * series(1, 0, "cos") / den
+    phi1 = -vu * ux * series(1, 1, "sin") / den
+    m2_1 = -(vu**2) * ux * series(2, 1, "sin") / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = sys.m * (m2_1 - 2.0 * phi * phi1 / f + phi * phi * f1 / (f * f))
+    return tagged(val, f >= _floor_for(sys), FieldTag.NODE_UNDEFINED)
 
 
-def continuity_residual(
+def moment_rate(
     x,
     t,
+    k: int,
     state: QuantumState,
     sys: SystemParams = NATURAL_UNITS,
     trunc: Truncation = DEFAULT_TRUNCATION,
 ):
-    """|d f/dt + d flux/dx| with both derivatives analytic, from two routes.
+    """d M_k / dt for k = 0..3, analytic, from one order-(k + 2) ``psi_jet``.
 
-    d f/dt = -(hbar/m) Im(psi* psi'') comes from an order-2 ``psi_jet`` (the
-    Schrodinger equation turns the time derivative into psi''); d flux/dx is
-    the term-wise derivative of the folded double series.  A wrong series on
+    M_k is a bilinear form of the jet (the density, the flux and the forms
+    behind ``moments``); the same form built from ``JetForms.dt`` is its time
+    derivative.  Finite everywhere.  Broadcasts over x and t.
+    """
+    if k not in range(4):
+        raise ValueError(f"k must be 0, 1, 2 or 3, got {k!r}")
+    form = (_density_form, _flux_form, _m2_form, _m3_form)[k]
+    return _unbox(form(jet_forms(x, t, state, sys, trunc, order=k + 2).dt(sys), sys))
+
+
+def moment_law_residual(
+    x,
+    t,
+    k: int,
+    state: QuantumState,
+    sys: SystemParams = NATURAL_UNITS,
+    trunc: Truncation = DEFAULT_TRUNCATION,
+):
+    """|d M_k/dt + d M_{k+1}/dx| for k = 0..3, both derivatives analytic, from two routes.
+
+    The comb is carried freely, so its velocity moments obey this hierarchy
+    exactly: k = 0 is continuity, k = 1 the flow-acceleration law, k = 2 and
+    3 the energy and heat-flux laws.  d M_k/dt is ``moment_rate`` (the psi
+    jet); d M_{k+1}/dx is the term-wise derivative of the folded double
+    series, the sum over atoms of (P_s/m)^{k+1} d C_s/dx.  A wrong series on
     either side leaves a residual; correct ones agree to the floating-point
-    floor (order 1e-13 of the field scale).  Broadcasts over x and t.
+    floor.  Finite everywhere, walls and nodes included.  Broadcasts over x
+    and t.
     """
-    df_dt = -(sys.hbar / sys.m) * jet_forms(x, t, state, sys, trunc, order=2).im(0, 2)
+    rate = moment_rate(x, t, k, state, sys, trunc)
     table = build_table(state, trunc)
-    scales = derived_scales(state, sys)
-    den = sys.l * table.norm
+    vu = derived_scales(state, sys).P_unit / sys.m
     ux = 2.0 * math.pi * state.mu / sys.l
-    core_x = folded_sum(table, x, t, state, sys, s_power=1, j_power=1, trig="sin")
-    dflux_dx = -(scales.P_unit / sys.m) * ux * core_x / den
-    return np.abs(df_dt + dflux_dx)
-
-
-def _stencil_defined(x, t, hx, ht, state, sys, trunc) -> bool:
-    floor = _floor_for(sys)
-    pts = ((x, t), (x - hx, t), (x + hx, t), (x, t - ht), (x, t + ht))
-    return all(density(xx, tt, state, sys, trunc) >= floor for xx, tt in pts)
-
-
-def momentum_law_residual(
-    x: float,
-    t: float,
-    state: QuantumState,
-    sys: SystemParams = NATURAL_UNITS,
-    h: float = 1e-5,
-    trunc: Truncation = DEFAULT_TRUNCATION,
-) -> FieldSample:
-    """Residual of the flow acceleration law  dv/dt + v dv/dx + (1/(m f)) dP11/dx.
-
-    All derivatives are central finite differences with steps h*l in x and
-    h*T_mu in t; the force-free comb makes the law exact, so the residual is
-    the O(h^2) scheme error.  Node-undefined when the density drops below the
-    floor anywhere on the stencil.
-    """
-    scales = derived_scales(state, sys)
-    hx, ht = h * sys.l, h * scales.T_mu
-    if not (0.0 < x - hx and x + hx < sys.l):
-        raise ValueError(f"x stencil [{x - hx}, {x + hx}] leaves the open well (0, {sys.l})")
-    if not _stencil_defined(x, t, hx, ht, state, sys, trunc):
-        return FieldSample(math.nan, FieldTag.NODE_UNDEFINED)
-
-    def v_at(xx: float, tt: float) -> float:
-        return velocity_field(xx, tt, state, sys, trunc).value
-
-    v_c = v_at(x, t)
-    dv_dt = finite_diff(lambda tt: v_at(x, tt), t, 1, ht)
-    dv_dx = finite_diff(lambda xx: v_at(xx, t), x, 1, hx)
-    dp_dx = finite_diff(lambda xx: moments(xx, t, state, sys, trunc).pressure, x, 1, hx)
-    f_c = density(x, t, state, sys, trunc)
-    return FieldSample(abs(dv_dt + v_c * dv_dx + dp_dx / (sys.m * f_c)))
-
-
-def energy_law_residual(
-    x: float,
-    t: float,
-    state: QuantumState,
-    sys: SystemParams = NATURAL_UNITS,
-    h: float = 1e-5,
-    trunc: Truncation = DEFAULT_TRUNCATION,
-) -> FieldSample:
-    """Residual of the energy transport law for the flow.
-
-    Checks d/dt [ (m f/2) v^2 + P11/2 ] + d/dx [ (m f/2) v^3 + (3/2) v P11
-    + (m/2) P111 ] = 0, composing each bracket from the tabulated moments as
-    written (no algebraic pre-simplification) and differencing with steps h*l
-    and h*T_mu.  Node-undefined when the stencil touches sub-floor density.
-    """
-    scales = derived_scales(state, sys)
-    hx, ht = h * sys.l, h * scales.T_mu
-    if not (0.0 < x - hx and x + hx < sys.l):
-        raise ValueError(f"x stencil [{x - hx}, {x + hx}] leaves the open well (0, {sys.l})")
-    if not _stencil_defined(x, t, hx, ht, state, sys, trunc):
-        return FieldSample(math.nan, FieldTag.NODE_UNDEFINED)
-
-    def e_density(xx: float, tt: float) -> float:
-        ms = moments(xx, tt, state, sys, trunc)
-        v = ms.flux / ms.density
-        return 0.5 * sys.m * ms.density * v * v + 0.5 * ms.pressure
-
-    def e_flux(xx: float, tt: float) -> float:
-        ms = moments(xx, tt, state, sys, trunc)
-        v = ms.flux / ms.density
-        return (
-            0.5 * sys.m * ms.density * v**3
-            + 1.5 * v * ms.pressure
-            + 0.5 * sys.m * ms.heat_flux
-        )
-
-    dt_term = finite_diff(lambda tt: e_density(x, tt), t, 1, ht)
-    dx_term = finite_diff(lambda xx: e_flux(xx, t), x, 1, hx)
-    return FieldSample(abs(dt_term + dx_term))
+    core = folded_sum(table, x, t, state, sys, s_power=k + 1, j_power=1, trig="sin")
+    return _unbox(np.abs(rate - vu ** (k + 1) * ux * core / (sys.l * table.norm)))

@@ -2,9 +2,9 @@
 
 The fields themselves come from ``wavefunction.psi_jet`` in O(K) per point.
 The O(K^2) double series here are kept as independent oracles: the
-density-identity, continuity and momentum-law checks compare the jet against
-``folded_sum``, and ``comb_rows`` is the Chebyshev route of the phase-space
-comb.
+density-identity check and the moment-law checks (continuity, momentum-law,
+energy-law) compare the jet against ``folded_sum``, and ``comb_rows`` is the
+Chebyshev route of the phase-space comb.
 
 All densities and moments here are lattice sums over index pairs (n, k) with
 weights exp(-(pi*beta/4)[(2n+1)^2 + (2k+1)^2]) and phases built from
@@ -109,6 +109,9 @@ def folded_sum(
     cos sums and b odd for sin sums (the opposite combinations vanish
     identically).  Broadcasts over x and t; scalar inputs return a float.
     The result carries the exp(+pi*beta/2) rescaling of the table weights.
+    Each point's terms are reduced by one dot product over a contiguous row,
+    as for a single point, so a grid call equals per-point calls bit for bit
+    (a matrix product over the points rounds differently).
     """
     a, b = s_power, j_power
     if trig == "cos":
@@ -141,12 +144,12 @@ def folded_sum(
     chunk = max(1, _CHUNK_BUDGET // max(1, n_terms))
     for lo in range(0, uf.size, chunk):
         hi = min(lo + chunk, uf.size)
-        ang_u = np.multiply.outer(jf_k, uf[lo:hi])
-        ang_t = np.multiply.outer(js, wf[lo:hi])
+        ang_u = np.multiply.outer(uf[lo:hi], jf_k)
+        ang_t = np.multiply.outer(wf[lo:hi], js)
         fu = np.cos(ang_u, out=ang_u) if u_is_cos else np.sin(ang_u, out=ang_u)
         ft = np.cos(ang_t, out=ang_t) if t_is_cos else np.sin(ang_t, out=ang_t)
         fu *= ft
-        out[lo:hi] = coeff @ fu
+        out[lo:hi] = np.vecdot(fu, coeff)
     if sign < 0:
         out = -out
     out = out.reshape(shape)

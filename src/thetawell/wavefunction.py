@@ -39,6 +39,7 @@ __all__ = [
     "psi",
     "psi_jet",
     "JetForms",
+    "JetRates",
     "jet_forms",
     "stationary_psi",
     "schrodinger_residual",
@@ -150,9 +151,8 @@ def norm_constant(
 
 def _check_domain(x, sys: SystemParams) -> None:
     """Raise ValueError unless every x lies in the closed well [0, l]."""
-    # a float skips numpy here and in _phase_coords: scalar psi, wigner_comb
-    # and the finite-difference law routes take one point per call, and
-    # boxing would dominate those calls
+    # a float skips numpy here and in _phase_coords: scalar psi and
+    # wigner_comb take one point per call, and boxing would dominate them
     if isinstance(x, float):
         inside = 0.0 <= x <= sys.l
     else:
@@ -177,8 +177,9 @@ def _phase_coords(x, t, state: QuantumState, sys: SystemParams):
     return np.ravel(u), np.ravel(w), shape
 
 
-# points x modes per psi_jet chunk: 576 KiB of work arrays at order 3, so
-# callers pass whole grids; larger chunks cost memory and save no time
+# points x modes per psi_jet chunk: 576 KiB of work arrays at order 3 and
+# 704 KiB at order 5, so callers pass whole grids; larger chunks cost memory
+# and save no time
 _JET_BUDGET = 1 << 12
 
 
@@ -188,17 +189,18 @@ def _jet_table(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The psi jet's angle factors m/2, -m^2/4 and weights over positive odd m.
 
-    Row k of the weights (orders k = 0..3) holds c_k * 2 m^k exp(-(pi*beta/4)(m^2-1)) with
-    c = (1, -kx, -kx^2, kx^3) and kx = pi*mu/l: the amplitude, the factor 2
-    that folds the harmonic -m into m, and the real factor left of
+    Row k of the weights (orders k = 0..5) holds c_k * 2 m^k exp(-(pi*beta/4)(m^2-1)) with
+    c = (1, -kx, -kx^2, kx^3, kx^4, -kx^5) and kx = pi*mu/l: the amplitude, the
+    factor 2 that folds the harmonic -m into m, and the real factor left of
     (i kx m)^k once the odd orders' 2i sin((u/2) m) is taken out.
     Read-only, shared by callers.
     """
     modes = mode_table(beta / 2.0, trunc)  # weights exp(-(pi*beta/4)(m^2-1))
     m, amp = modes.m, 2.0 * modes.w
     kx = math.pi * mu / l
-    c = np.array([1.0, -kx, -kx * kx, kx * kx * kx])
-    weights = c[:, None] * (amp * m ** np.arange(4)[:, None])
+    kx2 = kx * kx
+    c = np.array([1.0, -kx, -kx2, kx2 * kx, kx2 * kx2, -kx2 * kx2 * kx])
+    weights = c[:, None] * (amp * m ** np.arange(6)[:, None])
     half_m, quarter_m2 = m / 2.0, m * m / -4.0
     for arr in (half_m, quarter_m2, weights):
         arr.flags.writeable = False
@@ -213,7 +215,7 @@ def psi_jet(
     trunc: Truncation = DEFAULT_TRUNCATION,
     order: int = 0,
 ) -> np.ndarray:
-    """The scaled wavefunction and its first ``order`` x-derivatives, order <= 3.
+    """The scaled wavefunction and its first ``order`` x-derivatives, order <= 5.
 
     Returns a complex array of shape (order + 1, *broadcast shape of x, t):
     entry k is d^k/dx^k of the theta series sum_m exp(-(pi*beta/4)(m^2-1))
@@ -227,8 +229,8 @@ def psi_jet(
     exactly.  Each point is reduced by a row sum over the modes, never a
     matrix product, so a grid call equals per-point calls bit for bit.
     """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be 0, 1, 2 or 3, got {order!r}")
+    if order not in range(6):
+        raise ValueError(f"order must be 0, 1, 2, 3, 4 or 5, got {order!r}")
     _check_domain(x, sys)
     half_m, quarter_m2, weights = _jet_table(state.beta, trunc, state.mu, sys.l)
     n_modes = half_m.size
@@ -250,8 +252,10 @@ def psi_jet(
         xs = trig[:, :, 1]  # cos and sin of (u/2) m: even and odd orders
         if n <= 2:
             xw = xs[:, :n] * weights[:n]
-        else:
-            xw = (xs[:, None] * weights.reshape(2, 2, n_modes)).reshape(p, 4, n_modes)[:, :n]
+        else:  # row pairs (even, odd order) take (cos, sin)
+            r = (n + 1) // 2
+            pairs = weights[: 2 * r].reshape(r, 2, n_modes)
+            xw = (xs[:, None] * pairs).reshape(p, 2 * r, n_modes)[:, :n]
         sums = np.add.reduce(xw[:, :, None, :] * rot[:, None, :, :], axis=-1)
         out[lo:hi] = sums.view(complex)[..., 0]
     return out.T.reshape((n, *shape))
@@ -279,6 +283,33 @@ class JetForms:
     def im(self, i: int, j: int):
         a, b = self.jet[i], self.jet[j]
         return (a.real * b.imag - a.imag * b.real) / self.norm
+
+    def dt(self, sys: SystemParams) -> JetRates:
+        """The time derivatives of these forms, read from the jet two orders up."""
+        return JetRates(self, sys.hbar / (2.0 * sys.m))
+
+
+@dataclass(frozen=True)
+class JetRates:
+    """d/dt of the bilinear forms of a ``JetForms``, with the same ``re``/``im`` interface.
+
+    The Schrodinger equation turns d/dt psi_j into (i hbar/2m) psi_{j+2}, so
+
+        d/dt re(i, j) = (hbar/2m) [im(i+2, j) - im(i, j+2)],
+        d/dt im(i, j) = (hbar/2m) [re(i, j+2) - re(i+2, j)],
+
+    and a field built from the forms gives its own time derivative when built
+    from these instead; forms of orders up to k need a jet of order k + 2.
+    """
+
+    forms: JetForms
+    rate: float
+
+    def re(self, i: int, j: int):
+        return self.rate * (self.forms.im(i + 2, j) - self.forms.im(i, j + 2))
+
+    def im(self, i: int, j: int):
+        return self.rate * (self.forms.re(i, j + 2) - self.forms.re(i + 2, j))
 
 
 def jet_forms(

@@ -13,12 +13,13 @@ bounded by 2/l, so it is bounded by 2/l for every beta and its window mass
 tends to the flat-mixture value 1/5.
 """
 
+import dataclasses
 import sys
 import time
 
 import numpy as np
 
-from thetawell import cli, series, thermo, verification
+from thetawell import cli, phase_space, series, thermo, verification, wavefunction
 from thetawell.density import averaged_density, period
 from thetawell.phase_space import moments, velocity_field
 from thetawell.verification import comb_window_masses, run_check
@@ -62,7 +63,10 @@ def test_criterion_11_energy_law_within_budget():
     elapsed = time.perf_counter() - started
     ok = r.passed and elapsed < 60.0
     text = _line(
-        11, "energy-law", ok, f"measured={r.measured:.3e} tolerance=1.0e-03 runtime={elapsed:.1f}s"
+        11,
+        "energy-law",
+        ok,
+        f"measured={r.measured:.3e} tolerance={r.tolerance:.1e} runtime={elapsed:.1f}s",
     )
     assert ok, text + "\n" + r.detail
 
@@ -131,7 +135,7 @@ def test_initial_density_comb_concentration():
         assert sup <= 2.0 + 1e-9
 
 
-@pytest.mark.parametrize("name", ["density-identity", "continuity", "momentum-law"])
+@pytest.mark.parametrize("name", ["density-identity", "continuity", "momentum-law", "energy-law"])
 def test_folded_oracle_is_live(name, monkeypatch):
     """Scaling the folded series by 1 + 1e-4 must fail each check that uses it as oracle.
 
@@ -143,12 +147,57 @@ def test_folded_oracle_is_live(name, monkeypatch):
     def scaled(*args, **kwargs):
         return real(*args, **kwargs) * (1.0 + 1e-4)
 
+    _replace_everywhere(monkeypatch, "folded_sum", scaled)
+    r = run_check(name)
+    assert not r.passed, r.detail
+
+
+def _replace_everywhere(monkeypatch, name: str, replacement) -> None:
+    """Bind ``replacement`` in every thetawell module that binds the real ``name``."""
+    real = getattr(phase_space, name)
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("thetawell") and (
-            getattr(module, "folded_sum", None) is real
+            getattr(module, name, None) is real
         ):
-            monkeypatch.setattr(module, "folded_sum", scaled)
-    r = run_check(name)
+            monkeypatch.setattr(module, name, replacement)
+
+
+def _scaled_form(name: str):
+    real = getattr(phase_space, name)
+    return lambda j, system: real(j, system) * (1.0 + 1e-8)
+
+
+def _scaled_moment(field: str):
+    real = phase_space.moments
+
+    def mutated(*args, **kwargs):
+        ms = real(*args, **kwargs)
+        return dataclasses.replace(ms, **{field: getattr(ms, field) * (1.0 + 1e-8)})
+
+    return mutated
+
+
+@pytest.mark.parametrize(
+    "name,mutant,check",
+    [
+        ("_flux_form", _scaled_form("_flux_form"), "momentum-law"),
+        ("_m2_form", _scaled_form("_m2_form"), "energy-law"),
+        ("_m3_form", _scaled_form("_m3_form"), "energy-law"),
+        ("moments", _scaled_moment("pressure"), "energy-law"),
+        ("moments", _scaled_moment("heat_flux"), "energy-law"),
+    ],
+    ids=["flux", "m2", "m3", "pressure", "heat-flux"],
+)
+def test_moment_laws_are_live(name, mutant, check, monkeypatch):
+    """A moment or central moment off by 1 + 1e-8 must fail its conservation-law check.
+
+    Both sides of each law are analytic, so the bounds (1e-10 for the laws,
+    1e-12 for the brackets) sit far below a 1e-8 error.  Each check first
+    passes unmutated.
+    """
+    assert run_check(check).passed
+    _replace_everywhere(monkeypatch, name, mutant)
+    r = run_check(check)
     assert not r.passed, r.detail
 
 
@@ -165,23 +214,47 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+LAW_GRID = (21, 11)
+
+
 @pytest.mark.parametrize(
-    "check,field,grids",
+    "check,module,field,grids",
     [
         # 3 levels x 4 widths: psi once on the 1,025 nodes, the 5 times as rows
-        ("normalization", "psi", [(5, 1025)] * 12),
-        ("schrodinger-residual", "schrodinger_residual", [(50,)]),
-        ("wigner-marginal", "comb_rows", [(11, 51)]),
-        ("wigner-marginal", "density", [(11, 51)]),
+        ("normalization", verification, "psi", [(5, 1025)] * 12),
+        ("schrodinger-residual", verification, "schrodinger_residual", [(50,)]),
+        ("wigner-marginal", verification, "comb_rows", [(11, 51)]),
+        ("wigner-marginal", verification, "density", [(11, 51)]),
         # the 20 points, then for s = -3..3 the points shifted back to t = 0
-        ("comb-transport", "comb_rows", [(20,), (7, 20)]),
-        ("velocity-two-path", "velocity_from_vlasov", [(21, 11)]),
+        ("comb-transport", verification, "comb_rows", [(20,), (7, 20)]),
+        ("velocity-two-path", verification, "velocity_from_vlasov", [(21, 11)]),
+        # the k = 1 law and its rate on the grid; the density and its
+        # derivatives at the 20 Madelung points
+        ("momentum-law", wavefunction, "psi_jet", [LAW_GRID] * 2 + [(20,)] * 2),
+        # the k = 1 law, then the five series of the pressure gradient
+        ("momentum-law", phase_space, "folded_sum", [LAW_GRID] + [(20,)] * 5),
+        # law and rate for k = 2 and 3, the moments, the raw moments
+        ("energy-law", wavefunction, "psi_jet", [LAW_GRID] * 6),
+        ("energy-law", phase_space, "folded_sum", [LAW_GRID] * 2),
     ],
-    ids=["normalization", "schrodinger", "marginal-comb", "marginal-density", "transport", "velocity"],
+    ids=[
+        "normalization",
+        "schrodinger",
+        "marginal-comb",
+        "marginal-density",
+        "transport",
+        "velocity",
+        "momentum-jet",
+        "momentum-series",
+        "energy-jet",
+        "energy-series",
+    ],
 )
-def test_sampling_check_makes_one_call_per_grid(check, field, grids, monkeypatch):
-    calls = _count_calls(monkeypatch, verification, field)
+def test_sampling_check_makes_one_call_per_grid(check, module, field, grids, monkeypatch):
+    calls = _count_calls(monkeypatch, module, field)
     assert run_check(check).passed
+    if field == "folded_sum":  # (table, x, t, ...)
+        calls = [args[1:] for args in calls]
     assert [np.broadcast_shapes(np.shape(args[0]), np.shape(args[1])) for args in calls] == grids
     if check == "comb-transport":
         assert calls[1][1] == 0.0

@@ -4,8 +4,9 @@ Each field broadcasts over x and t, so the CLI and the registry make one call
 per grid.  These properties pin that the grid route rounds exactly like the
 point route, value and tag, including the walls (x = 0, l), the stationary
 nodes x = k l / mu where the density vanishes, and t = 0.  The comb route
-(``velocity_from_vlasov``) and the Schrodinger residual are pinned the same
-way; the residual's stencil must stay inside the walls.
+(``velocity_from_vlasov``), the folded-series ``pressure_gradient``, the
+moment-law rates and residuals and the Schrodinger residual are pinned the
+same way; the Schrodinger residual's stencil must stay inside the walls.
 """
 
 import numpy as np
@@ -15,7 +16,14 @@ from hypothesis import strategies as st
 
 from thetawell.density import period
 from thetawell.numerics import FieldTag
-from thetawell.phase_space import moments, velocity_field, velocity_from_vlasov
+from thetawell.phase_space import (
+    moment_law_residual,
+    moment_rate,
+    moments,
+    pressure_gradient,
+    velocity_field,
+    velocity_from_vlasov,
+)
 from thetawell.thermo import avg_energy_profile, quantum_potential, quantum_potential_gradient
 from thetawell.wavefunction import (
     NATURAL_UNITS,
@@ -140,6 +148,33 @@ def test_quantum_potential_grid_equals_points(beta, mu, sys, x_fracs, t_fracs):
         assert all(tag is FieldTag.POLE for tag in grid.tag[:, [0, -1]].ravel())
 
 
+@point_cases
+@settings(max_examples=25, deadline=None)
+def test_pressure_gradient_grid_equals_points(beta, mu, sys, x_fracs, t_fracs):
+    state = QuantumState(mu, beta)
+    xs, ts = _grid(mu, sys, x_fracs, t_fracs, state)
+    grid = pressure_gradient(xs[None, :], ts[:, None], state, sys)
+    points = [pressure_gradient(float(x), float(t), state, sys) for t in ts for x in xs]
+    _assert_same_samples(grid, points, (ts.size, xs.size))
+    assert all(tag is FieldTag.NODE_UNDEFINED for tag in grid.tag[:, [0, -1]].ravel())
+
+
+@point_cases
+@settings(max_examples=25, deadline=None)
+def test_moment_law_residual_grid_equals_points(beta, mu, sys, x_fracs, t_fracs):
+    # the law needs no division by the density: finite at walls and nodes too
+    state = QuantumState(mu, beta)
+    xs, ts = _grid(mu, sys, x_fracs, t_fracs, state)
+    for k in range(4):
+        for field in (moment_rate, moment_law_residual):
+            grid = field(xs[None, :], ts[:, None], k, state, sys)
+            points = [field(float(x), float(t), k, state, sys) for t in ts for x in xs]
+            assert grid.shape == (ts.size, xs.size)
+            assert all(isinstance(p, float) for p in points)
+            _assert_same(grid.ravel(), points)
+            assert np.all(np.isfinite(grid))
+
+
 @given(
     beta=st.sampled_from(BETAS),
     mu=st.sampled_from((1, 2, 3)),
@@ -173,7 +208,13 @@ def test_fields_dense_grid_equals_points(beta):
     for name in ("density", "flux", "pressure", "heat_flux"):
         _assert_same(getattr(grid, name).ravel(), [getattr(p, name) for p in points])
     _assert_same_samples(grid.energy_density, [p.energy_density for p in points], shape)
-    for field in (velocity_field, velocity_from_vlasov, quantum_potential, quantum_potential_gradient):
+    for field in (
+        velocity_field,
+        velocity_from_vlasov,
+        pressure_gradient,
+        quantum_potential,
+        quantum_potential_gradient,
+    ):
         grid = field(xs[None, :], ts[:, None], state, sys)
         _assert_same_samples(grid, [field(x, t, state, sys) for x, t in cells], shape)
     inner = xs[1:-1]

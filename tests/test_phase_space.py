@@ -18,13 +18,16 @@ from thetawell.numerics import (
 )
 from thetawell.phase_space import (
     DENSITY_FLOOR,
+    _density_form,
+    _flux_form,
+    _m2_form,
+    _m3_form,
     _probe_velocity,
-    continuity_residual,
-    energy_law_residual,
     flux,
     kinetic_energy_density,
+    moment_law_residual,
+    moment_rate,
     moments,
-    momentum_law_residual,
     pressure_gradient,
     velocity_field,
     velocity_from_vlasov,
@@ -36,6 +39,7 @@ from thetawell.wavefunction import (
     QuantumState,
     SystemParams,
     derived_scales,
+    jet_forms,
 )
 
 STATE = QuantumState(mu=1, beta=0.1)
@@ -316,7 +320,7 @@ def test_continuity_analytic(state):
     scale = 1.0 / (L * t_mu)
     for x in np.linspace(0.05, 0.95, 21):
         for t in np.linspace(0.0, t_mu, 11):
-            assert continuity_residual(float(x), float(t), state) < 1e-9 * scale
+            assert moment_law_residual(float(x), float(t), 0, state) < 1e-9 * scale
 
 
 def test_continuity_finite_difference_consistency():
@@ -333,19 +337,33 @@ def test_continuity_finite_difference_consistency():
     assert r2 < 1e-4 / (L * T)
 
 
+@pytest.mark.parametrize("k", range(4))
+def test_moment_rate_matches_finite_difference(k):
+    # the rate comes from the jet two orders up; a central difference in t
+    # of the moment itself approaches it as O(h^2)
+    form = (_density_form, _flux_form, _m2_form, _m3_form)[k]
+    x, t = 0.43, 0.29 * T
+
+    def m_k(tt):
+        return form(jet_forms(x, tt, STATE, order=3), NATURAL_UNITS)
+
+    rate = moment_rate(x, t, k, STATE)
+    assert finite_diff(m_k, t, 1, 1e-5 * T) == pytest.approx(rate, rel=1e-6)
+
+
+def test_moment_rate_order_check():
+    for k in (-1, 4):
+        with pytest.raises(ValueError):
+            moment_rate(0.5, 0.0, k, STATE)
+        with pytest.raises(ValueError):
+            moment_law_residual(0.5, 0.0, k, STATE)
+
+
 def test_momentum_law_small_residual():
     rng = np.random.default_rng(4)
-    scales = derived_scales(STATE)
-    for _ in range(20):
-        x = float(rng.uniform(0.08, 0.92))
-        t = float(rng.uniform(0.0, T))
-        res = momentum_law_residual(x, t, STATE, h=1e-5)
-        if res.tag is not FieldTag.FINITE:
-            continue
-        f = density(x, t, STATE)
-        grad = pressure_gradient(x, t, STATE).value
-        scale = max(abs(grad) / (NATURAL_UNITS.m * f), scales.E_mu / (L * NATURAL_UNITS.m))
-        assert res.value < 1e-4 * scale
+    xs, ts = rng.uniform([0.08, 0.0], [0.92, T], size=(20, 2)).T
+    scale = np.max(np.abs(moment_rate(xs, ts, 1, STATE)))
+    assert np.max(moment_law_residual(xs, ts, 1, STATE)) < 1e-12 * scale
 
 
 def test_momentum_law_is_quantum_potential_gradient():
@@ -373,45 +391,28 @@ def test_momentum_law_frozen_degeneracy():
             f = density(x, t, state)
             grad = pressure_gradient(x, t, state).value
             assert abs(grad) / (NATURAL_UNITS.m * f) < 1e-6 * accel
-            res = momentum_law_residual(x, t, state, h=1e-5)
-            assert res.value < 1e-6 * accel
+            assert abs(moment_rate(x, t, 1, state)) < 1e-6 * accel / L
+            assert moment_law_residual(x, t, 1, state) < 1e-6 * accel / L
 
 
-def test_momentum_law_stencil_guard():
-    with pytest.raises(ValueError):
-        momentum_law_residual(1e-7, 0.1 * T, STATE, h=1e-5)
-
-
-def test_momentum_law_node_undefined_on_stencil():
-    # mu=2 frozen state has a persistent node at the midpoint
+def test_momentum_law_defined_at_node():
+    # the mu=2 frozen state has a persistent node at the midpoint: no division
+    # by the density enters the law, so it holds there as anywhere
     state = QuantumState(mu=2, beta=10.0)
-    res = momentum_law_residual(0.5, 0.1 * period(state), state, h=1e-5)
-    assert res.tag is FieldTag.NODE_UNDEFINED
+    t2 = period(state)
+    t = 0.1 * t2
+    assert density(0.5, t, state) < DENSITY_FLOOR / L
+    res = moment_law_residual(0.5, t, 1, state)
+    assert math.isfinite(res)
+    assert res < 1e-6 / t2**2
 
 
 def test_energy_law_small_residual():
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        x = float(rng.uniform(0.08, 0.92))
-        t = float(rng.uniform(0.0, T))
-        res = energy_law_residual(x, t, STATE, h=1e-5)
-        if res.tag is not FieldTag.FINITE:
-            continue
-        ms = moments(x, t, STATE)
-        v = ms.flux / ms.density
-        scale = max(
-            abs(0.5 * NATURAL_UNITS.m * ms.density * v**3),
-            abs(1.5 * v * ms.pressure),
-            abs(0.5 * NATURAL_UNITS.m * ms.heat_flux),
-        ) / (1e-2 * L)
-        assert res.value < 1e-3 * scale
-
-
-def test_energy_law_residual_improves_with_h():
-    x, t = 0.37, 0.22 * T
-    r1 = energy_law_residual(x, t, STATE, h=2e-4).value
-    r2 = energy_law_residual(x, t, STATE, h=1e-4).value
-    assert r1 / r2 > 3.0
+    xs, ts = rng.uniform([0.08, 0.0], [0.92, T], size=(20, 2)).T
+    for k in (2, 3):
+        scale = np.max(np.abs(moment_rate(xs, ts, k, STATE)))
+        assert np.max(moment_law_residual(xs, ts, k, STATE)) < 1e-12 * scale
 
 
 def test_energy_law_frozen_degeneracy():
@@ -419,6 +420,7 @@ def test_energy_law_frozen_degeneracy():
     t10 = period(state)
     scales = derived_scales(state)
     power = scales.E_mu / (L * t10)
+    speed = L / t10
     for x in (0.21, 0.5, 0.83):
         t = 0.3 * t10
         ms = moments(x, t, state)
@@ -426,12 +428,8 @@ def test_energy_law_frozen_degeneracy():
         assert abs(0.5 * NATURAL_UNITS.m * ms.density * v**3) < 1e-6 * power * L
         assert abs(1.5 * v * ms.pressure) < 1e-6 * power * L
         assert abs(0.5 * NATURAL_UNITS.m * ms.heat_flux) < 1e-6 * power * L
-        assert energy_law_residual(x, t, state, h=1e-5).value < 1e-6 * power
-
-
-def test_energy_law_stencil_guard():
-    with pytest.raises(ValueError):
-        energy_law_residual(1.0 - 1e-7, 0.1 * T, STATE, h=1e-5)
+        for k in (2, 3):
+            assert moment_law_residual(x, t, k, state) < 1e-6 * speed**k / (L * t10)
 
 
 def test_pressure_gradient_node_undefined():

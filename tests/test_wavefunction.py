@@ -194,6 +194,22 @@ def test_psi_jet_precision_oracle(beta, mu):
             assert abs(complex(jet[k]) - want[k]) <= 1e-12 * scale[k], (x_frac, t_frac, k)
 
 
+@pytest.mark.parametrize("beta", [1.0, 0.1, 0.02])
+@pytest.mark.parametrize("mu", [1, 3])
+def test_psi_jet_high_orders_precision_oracle(beta, mu):
+    """Orders 4-5 against a 30-digit sum; tolerance 1e-12 of sum |term|, fixed in advance."""
+    state = QuantumState(mu, beta)
+    sys = SystemParams(m=2.0, l=3.0, hbar=0.5)
+    t_mu = derived_scales(state, sys).T_mu
+    points = [(0.0, 0.0), (0.23, 0.37), (0.5, 0.81), (0.871, 0.05), (1.0, 0.59)]
+    for x_frac, t_frac in points:
+        x, t = x_frac * sys.l, t_frac * t_mu
+        jet = psi_jet(x, t, state, sys, order=5)
+        want, scale = mp_psi_jet(x, t, state, sys, order=5)
+        for k in (4, 5):
+            assert abs(complex(jet[k]) - want[k]) <= 1e-12 * scale[k], (x_frac, t_frac, k)
+
+
 def test_psi_jet_shape_and_order_check():
     state = QuantumState(2, 0.3)
     xs = np.linspace(0.0, 1.0, 5)
@@ -204,6 +220,6 @@ def test_psi_jet_shape_and_order_check():
         NATURAL_UNITS.l * scaled_norm_sum(state)
     ) == psi(0.4, 0.01, state)
     with pytest.raises(ValueError):
-        psi_jet(0.4, 0.01, state, order=4)
+        psi_jet(0.4, 0.01, state, order=6)
     with pytest.raises(ValueError):
         psi_jet(np.array([0.2, 1.2]), 0.0, state)
