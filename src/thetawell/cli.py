@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 truncation overflow,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ import numpy as np
 
 from .density import averaged_density, density, period
 from .numerics import DEFAULT_TRUNCATION, FieldSample, FieldTag, Truncation, TruncationOverflowError
-from .phase_space import DENSITY_FLOOR, moments, velocity_field, wigner_comb
+from .phase_space import DENSITY_FLOOR, comb_atoms, moments, velocity_field
 from .thermo import entropy, gibbs_params, mean_energy_gibbs
 from .verification import run_all_checks
 from .wavefunction import QuantumState, SystemParams
@@ -207,7 +208,9 @@ def _build_config(args: argparse.Namespace) -> JobConfig:
     return config
 
 
+@functools.lru_cache(maxsize=1)
 def _make_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves no state in the parser
     parser = argparse.ArgumentParser(
         prog="thetawell",
         description="Tabulate exact infinite-well fields and run the verification suite.",
@@ -233,10 +236,57 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(value: object) -> str:
+@dataclass(frozen=True)
+class _Column:
+    """One table column: row r holds ``values[index[r]]``, or ``values[r]`` without an index.
+
+    ``values`` are Python scalars (float, int, str, bool or None).  Each is
+    formatted once however many rows repeat it, so a grid axis costs one
+    token per grid line.  Repeats come from the index, never from comparing
+    values, which would merge -0.0 with 0.0 and 1 with True.
+    """
+
+    values: list
+    index: np.ndarray | None = None
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_token(value: object) -> str:
+    """``value`` exactly as ``json.dumps`` writes it inside a list or dict."""
     if isinstance(value, float):
-        return repr(float(value))
+        text = float.__repr__(value)
+        return _JSON_NONFINITE.get(text, text)
+    return json.dumps(value)
+
+
+def _fmt(value: object) -> str:
+    """``value`` as a CSV cell or metadata value: floats by repr, None as an empty cell."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return float.__repr__(value)
     return str(value)
+
+
+def _table_text(fmt: str, columns: dict[str, _Column], meta: list[str]) -> str:
+    """The table as CSV (``meta``, a header, one line per row) or as ``json.dumps(rows, indent=1)``.
+
+    Each column is turned into tokens once; then every row fills one template.
+    """
+    token = _json_token if fmt == "json" else _fmt
+    cells = []
+    for column in columns.values():
+        tokens = list(map(token, column.values))
+        if column.index is not None:
+            tokens = np.array(tokens, dtype=object)[column.index].tolist()
+        cells.append(tokens)
+    if fmt == "json":
+        fields = ",\n".join(f"  {json.dumps(name)}: %s" for name in columns)
+        rows = list(map(f" {{\n{fields}\n }}".__mod__, zip(*cells)))
+        return "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"
+    return "\n".join([*meta, ",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _meta_lines(config: JobConfig, sys_params: SystemParams, columns: list[str], units: dict[str, str]) -> list[str]:
@@ -256,16 +306,6 @@ def _meta_lines(config: JobConfig, sys_params: SystemParams, columns: list[str],
     return lines
 
 
-def _emit(config: JobConfig, columns: list[str], rows: list[dict[str, object]], meta: list[str]) -> str:
-    if config.format == "json":
-        return json.dumps(rows, indent=1)
-    out = list(meta)
-    out.append(",".join(columns))
-    for row in rows:
-        out.append(",".join("" if row[c] is None else _fmt(row[c]) for c in columns))
-    return "\n".join(out) + "\n"
-
-
 def _clamp_density(value, sys_params: SystemParams) -> np.ndarray:
     # tiny negative truncation residue is clamped to zero in output only
     residue = (-(DENSITY_FLOOR / sys_params.l) < value) & (value < 0.0)
@@ -280,13 +320,17 @@ def _grids(config: JobConfig, sys_params: SystemParams) -> tuple[np.ndarray, np.
     return xs, ts
 
 
-def _field_rows(config: JobConfig) -> tuple[list[str], list[dict[str, object]], dict[str, str]]:
+def _along(shape: tuple[int, ...], axis: int) -> np.ndarray:
+    """For each row of a C-ordered grid of ``shape``, its position along ``axis``."""
+    position = np.arange(shape[axis]).reshape([-1 if a == axis else 1 for a in range(len(shape))])
+    return np.broadcast_to(position, shape).ravel()
+
+
+def _field_table(config: JobConfig) -> tuple[dict[str, _Column], dict[str, str]]:
     sys_params = config.system()
     trunc = config.truncation()
     state = QuantumState(config.mu, config.beta)
     xs, ts = _grids(config, sys_params)
-    columns = ["x", "t", "value", "tag"]
-    rows: list[dict[str, object]] = []
 
     def clamped_density(x, t) -> FieldSample:
         f = _clamp_density(density(x, t, state, sys_params, trunc), sys_params)
@@ -301,80 +345,90 @@ def _field_rows(config: JobConfig) -> tuple[list[str], list[dict[str, object]], 
         value_unit, field = grid_fields[config.command]
         units = {"x": "length", "t": "time", "value": value_unit}
         sample = field(xs[None, :], ts[:, None])  # rows in t, columns in x
-        for (i, j), tag in np.ndenumerate(sample.tag):
-            value = float(sample.value[i, j]) if tag is FieldTag.FINITE else None
-            rows.append({"x": float(xs[j]), "t": float(ts[i]), "value": value, "tag": str(tag)})
+        shape = sample.tag.shape
+        finite = sample.tag == FieldTag.FINITE
+        values = sample.value.astype(object)  # Python floats, None where not finite
+        values[~finite] = None
+        tags = list(FieldTag)
+        tag_index = np.zeros(shape, dtype=int)
+        for k, tag in enumerate(tags):
+            tag_index[sample.tag == tag] = k
+        columns = {
+            "x": _Column(xs.tolist(), _along(shape, 1)),
+            "t": _Column(ts.tolist(), _along(shape, 0)),
+            "value": _Column(values.ravel().tolist()),
+            "tag": _Column([str(tag) for tag in tags], tag_index.ravel()),
+        }
     elif config.command == "averaged-density":
         units = {"x": "length", "value": "1/length"}
         values = _clamp_density(averaged_density(xs, state, sys_params, trunc), sys_params)
-        for x, value in zip(xs, values):
-            rows.append({"x": float(x), "t": None, "value": float(value), "tag": "finite"})
+        constant = np.zeros(xs.size, dtype=int)
+        columns = {
+            "x": _Column(xs.tolist()),
+            "t": _Column([None], constant),
+            "value": _Column(values.tolist()),
+            "tag": _Column(["finite"], constant),
+        }
     else:  # wigner
-        columns = ["x", "t", "s", "momentum", "weight"]
         units = {
             "x": "length",
             "t": "time",
             "momentum": "mass*length/time",
             "weight": "1/(length*action)",
         }
-        for t in ts:
-            for x in xs:
-                comb = wigner_comb(float(x), float(t), state, sys_params, trunc)
-                for atom in comb.atoms:
-                    rows.append(
-                        {
-                            "x": float(x),
-                            "t": float(t),
-                            "s": int(atom.s),
-                            "momentum": float(atom.momentum),
-                            "weight": float(atom.weight),
-                        }
-                    )
-    return columns, rows, units
+        labels, momenta, weights = comb_atoms(xs[None, :], ts[:, None], state, sys_params, trunc)
+        weights = np.moveaxis(weights, 0, -1)  # rows in t, then x, then s: each point's atoms together
+        shape = weights.shape
+        columns = {
+            "x": _Column(xs.tolist(), _along(shape, 1)),
+            "t": _Column(ts.tolist(), _along(shape, 0)),
+            "s": _Column(labels.tolist(), _along(shape, 2)),
+            "momentum": _Column(momenta.tolist(), _along(shape, 2)),
+            "weight": _Column(weights.ravel().tolist()),
+        }
+    return columns, units
 
 
-def _thermo_rows(config: JobConfig) -> tuple[list[str], list[dict[str, object]], dict[str, str]]:
+def _thermo_table(config: JobConfig) -> tuple[dict[str, _Column], dict[str, str]]:
     sys_params = config.system()
     trunc = config.truncation()
-    mus = range(config.mu, (config.mu_hi if config.mu_hi is not None else config.mu) + 1)
+    mus = list(range(config.mu, (config.mu_hi if config.mu_hi is not None else config.mu) + 1))
     if config.beta_sweep is None:
-        betas = [config.beta]
+        betas = [float(config.beta)]
     else:
         start, stop, count = config.beta_sweep
-        betas = [float(b) for b in np.linspace(start, stop, count)]
-    columns = ["mu", "beta", "mean_energy", "entropy"]
+        betas = np.linspace(start, stop, count).tolist()
     units = {"mean_energy": "energy", "entropy": "k_B"}
-    rows: list[dict[str, object]] = []
+    energies: list[float] = []
+    entropies: list[float] = []
     for mu in mus:
         for beta in betas:
             state = QuantumState(mu, beta)
             gp = gibbs_params(state, sys_params)
-            rows.append(
-                {
-                    "mu": int(mu),
-                    "beta": float(beta),
-                    "mean_energy": float(mean_energy_gibbs(gp, state, trunc)),
-                    "entropy": float(entropy(gp, state, trunc)),
-                }
-            )
-    return columns, rows, units
+            energies.append(float(mean_energy_gibbs(gp, state, trunc)))
+            entropies.append(float(entropy(gp, state, trunc)))
+    shape = (len(mus), len(betas))
+    columns = {
+        "mu": _Column(mus, _along(shape, 0)),
+        "beta": _Column(betas, _along(shape, 1)),
+        "mean_energy": _Column(energies),
+        "entropy": _Column(entropies),
+    }
+    return columns, units
 
 
 def _run_verify(config: JobConfig) -> tuple[str, int]:
     state = QuantumState(config.mu, config.beta)
     results = run_all_checks(state, config.system(), config.truncation())
     if config.format == "json":
-        records = [
-            {
-                "check": r.name,
-                "passed": r.passed,
-                "measured": r.measured,
-                "tolerance": r.tolerance,
-                "detail": r.detail,
-            }
-            for r in results
-        ]
-        text = json.dumps(records, indent=1)
+        records = {
+            "check": _Column([r.name for r in results]),
+            "passed": _Column([r.passed for r in results]),
+            "measured": _Column([r.measured for r in results]),
+            "tolerance": _Column([r.tolerance for r in results]),
+            "detail": _Column([r.detail for r in results]),
+        }
+        text = _table_text("json", records, [])
     else:
         lines = [f"# thetawell verify (mu={config.mu}, beta={_fmt(config.beta)})"]
         for r in results:
@@ -391,12 +445,10 @@ def run(config: JobConfig) -> int:
     if config.command == "verify":
         text, code = _run_verify(config)
     else:
-        if config.command == "thermo":
-            columns, rows, units = _thermo_rows(config)
-        else:
-            columns, rows, units = _field_rows(config)
-        meta = _meta_lines(config, config.system(), columns, units)
-        text = _emit(config, columns, rows, meta)
+        table = _thermo_table if config.command == "thermo" else _field_table
+        columns, units = table(config)
+        meta = _meta_lines(config, config.system(), list(columns), units)
+        text = _table_text(config.format, columns, meta)
         code = 0
     if config.out_path is None:
         sys.stdout.write(text)

@@ -57,6 +57,7 @@ __all__ = [
     "WignerAtom",
     "WignerComb",
     "MomentSet",
+    "comb_atoms",
     "wigner_comb",
     "flux",
     "velocity_field",
@@ -167,6 +168,29 @@ def flux(
     return _unbox(_flux_form(jet_forms(x, t, state, sys, trunc, order=1), sys) + flow_constant)
 
 
+def comb_atoms(
+    x,
+    t,
+    state: QuantumState,
+    sys: SystemParams = NATURAL_UNITS,
+    trunc: Truncation = DEFAULT_TRUNCATION,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels s, momenta s * P_unit and weights of every comb atom; broadcasts over x and t.
+
+    Returns ``(labels, momenta, weights)``: the labels s = -2K-1, ..., 2K+1
+    in order, their momenta, and the weights C_s / (hbar * N(beta)) with shape
+    (2 (2K + 1) + 1, *points).  Every weight is one product of a Chebyshev
+    row (``series.comb_rows``) and a per-state scale, so a grid call equals
+    per-point calls bit for bit.
+    """
+    _check_domain(x, sys)
+    rows = comb_rows(x, t, state, sys, trunc)
+    labels = np.arange(-rows.m_max, rows.m_max + 1)
+    momenta = labels * derived_scales(state, sys).P_unit
+    weights = rows.by_label() * (1.0 / (sys.hbar * sys.l * rows.norm))
+    return labels, momenta, weights
+
+
 def wigner_comb(
     x: float,
     t: float,
@@ -178,16 +202,12 @@ def wigner_comb(
 
     Atoms are returned for every label |s| <= 2K + 1, ordered by s.  Each
     coefficient is evaluated by the Chebyshev recurrence, a route independent
-    of the psi jet behind ``density`` and ``flux``.
+    of the psi jet behind ``density`` and ``flux``.  Built from
+    ``comb_atoms``, whose grid form tabulates the comb in one call
+    (``thetawell wigner``); this per-point record serves library callers.
     """
-    _check_domain(x, sys)
-    rows = comb_rows(x, t, state, sys, trunc)
-    p_unit = derived_scales(state, sys).P_unit
-    scale = 1.0 / (sys.hbar * sys.l * rows.norm)
-    atoms = tuple(
-        WignerAtom(s=s, momentum=s * p_unit, weight=float(row) * scale)
-        for s, row in zip(range(-rows.m_max, rows.m_max + 1), rows.by_label())
-    )
+    labels, momenta, weights = comb_atoms(x, t, state, sys, trunc)
+    atoms = tuple(map(WignerAtom, labels.tolist(), momenta.tolist(), weights.tolist()))
     return WignerComb(x=float(x), t=float(t), atoms=atoms)
 
 

@@ -151,8 +151,9 @@ def norm_constant(
 
 def _check_domain(x, sys: SystemParams) -> None:
     """Raise ValueError unless every x lies in the closed well [0, l]."""
-    # a float skips numpy here and in _phase_coords: scalar psi and
-    # wigner_comb take one point per call, and boxing would dominate them
+    # a float skips numpy here and in _phase_coords: library callers of
+    # scalar psi and wigner_comb take one point per call, and boxing would
+    # dominate them (the CLI and the registry pass whole grids)
     if isinstance(x, float):
         inside = 0.0 <= x <= sys.l
     else:

@@ -21,6 +21,7 @@ import numpy as np
 
 from thetawell import cli, phase_space, series, thermo, verification, wavefunction
 from thetawell.density import averaged_density, period
+from thetawell.numerics import cutoff_for
 from thetawell.phase_space import moments, velocity_field
 from thetawell.verification import comb_window_masses, run_check
 from thetawell.wavefunction import QuantumState
@@ -269,12 +270,15 @@ def test_double_avg_energy_makes_one_grid_call_per_state(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command,field", [("density", "density"), ("velocity", "velocity_field"), ("energy", "moments")]
+    "command,field",
+    [("density", "density"), ("velocity", "velocity_field"), ("energy", "moments"), ("wigner", "comb_rows")],
 )
 def test_cli_field_command_makes_one_grid_call(command, field, monkeypatch, capsys):
-    calls = _count_calls(monkeypatch, cli, field)
+    # wigner reaches comb_rows through phase_space.comb_atoms, the atoms' one route
+    calls = _count_calls(monkeypatch, phase_space if command == "wigner" else cli, field)
     assert cli.main([command, "--grid-x", "9", "--grid-t", "4"]) == 0
     table = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
-    assert len(table) == 1 + 9 * 4  # header and one row per grid point
+    per_point = 2 * (2 * cutoff_for(0.1) + 1) + 1 if command == "wigner" else 1  # atoms at the default beta
+    assert len(table) == 1 + 9 * 4 * per_point  # header and the rows of every grid point
     assert len(calls) == 1
     assert np.broadcast_shapes(np.shape(calls[0][0]), np.shape(calls[0][1])) == (4, 9)

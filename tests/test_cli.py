@@ -3,13 +3,17 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from thetawell import cli
 from thetawell.cli import ConfigError, JobConfig, main
-from thetawell.numerics import cutoff_for
+from thetawell.density import averaged_density, density
+from thetawell.numerics import FieldTag, cutoff_for
+from thetawell.phase_space import moments, velocity_field, wigner_comb
+from thetawell.thermo import entropy, gibbs_params, mean_energy_gibbs
 from thetawell.verification import CheckResult
-from thetawell.wavefunction import NATURAL_UNITS
+from thetawell.wavefunction import NATURAL_UNITS, QuantumState
 
 
 def run_cli(capsys, argv):
@@ -268,6 +272,122 @@ def test_help_exits_0(capsys):
     assert "thetawell" in out
 
 
+# ---------------------------------------------------------------- writer reference
+# The row-dict emitters the column writer replaced, kept as its reference:
+# one dict per row, ``json.dumps(rows, indent=1)``, and a CSV join of
+# ``_fmt`` cells.  The writer must reproduce them byte for byte.
+
+
+def _reference_fmt(value):
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _reference_emit(fmt, columns, rows, meta):
+    if fmt == "json":
+        return json.dumps(rows, indent=1)
+    out = list(meta)
+    out.append(",".join(columns))
+    for row in rows:
+        out.append(",".join("" if row[c] is None else _reference_fmt(row[c]) for c in columns))
+    return "\n".join(out) + "\n"
+
+
+def _reference_rows(config):
+    """(columns, row dicts, units), built point by point for the wigner comb."""
+    sys_params, trunc = config.system(), config.truncation()
+    if config.command == "thermo":
+        betas = [config.beta]
+        if config.beta_sweep is not None:
+            betas = [float(b) for b in np.linspace(*config.beta_sweep)]
+        rows = []
+        for mu in range(config.mu, (config.mu_hi or config.mu) + 1):
+            for beta in betas:
+                state = QuantumState(mu, beta)
+                gp = gibbs_params(state, sys_params)
+                rows.append(
+                    {
+                        "mu": mu,
+                        "beta": beta,
+                        "mean_energy": float(mean_energy_gibbs(gp, state, trunc)),
+                        "entropy": float(entropy(gp, state, trunc)),
+                    }
+                )
+        return ["mu", "beta", "mean_energy", "entropy"], rows, {"mean_energy": "energy", "entropy": "k_B"}
+    state = QuantumState(config.mu, config.beta)
+    xs, ts = cli._grids(config, sys_params)
+    rows = []
+    if config.command == "averaged-density":
+        values = cli._clamp_density(averaged_density(xs, state, sys_params, trunc), sys_params)
+        for x, value in zip(xs, values):
+            rows.append({"x": float(x), "t": None, "value": float(value), "tag": "finite"})
+        return ["x", "t", "value", "tag"], rows, {"x": "length", "value": "1/length"}
+    if config.command == "wigner":
+        for t in ts:
+            for x in xs:
+                for atom in wigner_comb(float(x), float(t), state, sys_params, trunc).atoms:
+                    rows.append(
+                        {"x": float(x), "t": float(t), "s": atom.s, "momentum": atom.momentum, "weight": atom.weight}
+                    )
+        units = {"x": "length", "t": "time", "momentum": "mass*length/time", "weight": "1/(length*action)"}
+        return ["x", "t", "s", "momentum", "weight"], rows, units
+    if config.command == "density":
+        f = cli._clamp_density(density(xs[None, :], ts[:, None], state, sys_params, trunc), sys_params)
+        value, tag, unit = f, np.full(f.shape, FieldTag.FINITE), "1/length"
+    elif config.command == "velocity":
+        sample = velocity_field(xs[None, :], ts[:, None], state, sys_params, trunc)
+        value, tag, unit = sample.value, sample.tag, "length/time"
+    else:
+        sample = moments(xs[None, :], ts[:, None], state, sys_params, trunc).energy_density
+        value, tag, unit = sample.value, sample.tag, "energy"
+    for (i, j), cell_tag in np.ndenumerate(tag):
+        cell = float(value[i, j]) if cell_tag is FieldTag.FINITE else None
+        rows.append({"x": float(xs[j]), "t": float(ts[i]), "value": cell, "tag": str(cell_tag)})
+    return ["x", "t", "value", "tag"], rows, {"x": "length", "t": "time", "value": unit}
+
+
+WRITER_CASES = [
+    ["density", "--grid-x", "5", "--grid-t", "3"],
+    ["averaged-density", "--grid-x", "6"],
+    ["velocity", "--mu", "2", "--grid-x", "5", "--grid-t", "3"],
+    ["wigner", "--grid-x", "3", "--grid-t", "2", "--beta", "0.5", "--hbar", "0.6"],
+    ["energy", "--mu", "2", "--m", "1.7", "--hbar", "0.6", "--grid-x", "5", "--grid-t", "3"],
+    ["thermo", "--mu", "1..2", "--beta-sweep", "0.5:1.0:3"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", WRITER_CASES, ids=lambda argv: argv[0])
+def test_writer_matches_row_dict_reference(capsys, argv, fmt):
+    argv = argv + ["--format", fmt]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    config = cli._build_config(cli._make_parser().parse_args(argv))
+    columns, rows, units = _reference_rows(config)
+    if config.command in ("velocity", "energy"):  # the walls' cells are null
+        assert any(row["value"] is None for row in rows)
+    assert out == _reference_emit(fmt, columns, rows, cli._meta_lines(config, config.system(), columns, units))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_edge_cells(fmt):
+    # equal values of different kinds or signs keep their own tokens: -0.0 == 0.0 and 1 == True
+    cells = [0.0, -0.0, 1, True, False, 0, None, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5]
+    cells += ['say "hi" \\ \u03b2 \u2264 1e-9', "tab\tnew\nline\x01", ""]
+    axis = [-0.0, 0.0, 1.0, -0.0]  # indexed: formatted once per position, never merged by value
+    index = np.arange(len(cells)) % len(axis)
+    columns = {"cell": cli._Column(cells), "axis": cli._Column(axis, index)}
+    rows = [{"cell": cell, "axis": axis[i]} for cell, i in zip(cells, index)]
+    meta = ["# edge cells"]
+    assert cli._table_text(fmt, columns, meta) == _reference_emit(fmt, list(columns), rows, meta)
+
+
+def test_writer_empty_table():
+    assert cli._table_text("json", {"x": cli._Column([])}, []) == json.dumps([], indent=1)
+    assert cli._table_text("csv", {"x": cli._Column([])}, ["# none"]) == _reference_emit("csv", ["x"], [], ["# none"])
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -295,6 +415,31 @@ def test_verify_text_lines(capsys, monkeypatch):
     assert lines[0].startswith("# thetawell verify")
     assert lines[1].startswith("PASS alpha")
     assert lines[3].startswith("FAIL omega")
+
+
+def test_verify_json_matches_json_dumps(capsys, monkeypatch):
+    stub = [
+        CheckResult("alpha", True, 1e-12, 1e-9, 'fine: "quoted" \\ \u03b2 \u2264 1e-9\n'),
+        CheckResult("omega", False, math.inf, 1e-9, "diverged"),
+        CheckResult("nan", False, math.nan, -0.0, ""),
+    ]
+    monkeypatch.setattr(cli, "run_all_checks", lambda *a, **k: stub)
+    code, out, _ = run_cli(capsys, ["verify", "--format", "json"])
+    assert code == 3
+    records = [
+        {"check": r.name, "passed": r.passed, "measured": r.measured, "tolerance": r.tolerance, "detail": r.detail}
+        for r in stub
+    ]
+    assert out == json.dumps(records, indent=1)
+
+
+def test_parser_reused_across_runs(capsys):
+    assert cli._make_parser() is cli._make_parser()
+    # a failed parse leaves nothing behind for the next one
+    assert run_cli(capsys, ["density", "--grid-x", "two"])[0] == 1
+    assert run_cli(capsys, ["--help"])[0] == 0
+    code, out, _ = run_cli(capsys, ["density", "--grid-x", "2", "--grid-t", "2"])
+    assert code == 0 and "# grid_x = 2" in out and "# beta = 0.1" in out
 
 
 # ---------------------------------------------------------------- JobConfig

@@ -5,8 +5,9 @@ per grid.  These properties pin that the grid route rounds exactly like the
 point route, value and tag, including the walls (x = 0, l), the stationary
 nodes x = k l / mu where the density vanishes, and t = 0.  The comb route
 (``velocity_from_vlasov``), the folded-series ``pressure_gradient``, the
-moment-law rates and residuals and the Schrodinger residual are pinned the
-same way; the Schrodinger residual's stencil must stay inside the walls.
+moment-law rates and residuals, the comb atoms that ``thetawell wigner``
+tabulates and the Schrodinger residual are pinned the same way; the
+Schrodinger residual's stencil must stay inside the walls.
 """
 
 import numpy as np
@@ -17,12 +18,14 @@ from hypothesis import strategies as st
 from thetawell.density import period
 from thetawell.numerics import FieldTag
 from thetawell.phase_space import (
+    comb_atoms,
     moment_law_residual,
     moment_rate,
     moments,
     pressure_gradient,
     velocity_field,
     velocity_from_vlasov,
+    wigner_comb,
 )
 from thetawell.thermo import avg_energy_profile, quantum_potential, quantum_potential_gradient
 from thetawell.wavefunction import (
@@ -173,6 +176,24 @@ def test_moment_law_residual_grid_equals_points(beta, mu, sys, x_fracs, t_fracs)
             assert all(isinstance(p, float) for p in points)
             _assert_same(grid.ravel(), points)
             assert np.all(np.isfinite(grid))
+
+
+@pytest.mark.parametrize("mu", (1, 3))
+@pytest.mark.parametrize("beta", BETAS)
+def test_comb_atoms_grid_equals_wigner_comb(beta, mu):
+    # the CLI's one grid call against the per-point records of the library
+    state = QuantumState(mu, beta)
+    rng = np.random.default_rng(20261018)
+    for sys in SYSTEMS:
+        xs, ts = _grid(mu, sys, rng.uniform(0.0, 1.0, 4), rng.uniform(0.0, 1.0, 3), state)
+        labels, momenta, weights = comb_atoms(xs[None, :], ts[:, None], state, sys)
+        assert weights.shape == (labels.size, ts.size, xs.size)
+        for i, t in enumerate(ts):
+            for j, x in enumerate(xs):
+                atoms = wigner_comb(float(x), float(t), state, sys).atoms
+                assert [a.s for a in atoms] == labels.tolist()
+                _assert_same(momenta, [a.momentum for a in atoms])
+                _assert_same(weights[:, i, j], [a.weight for a in atoms])
 
 
 @given(
