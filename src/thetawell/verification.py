@@ -24,6 +24,7 @@ from .phase_space import (
     DENSITY_FLOOR,
     _m2_form,
     _m3_form,
+    comb_atoms,
     flux,
     moment_law_residual,
     moment_rate,
@@ -206,13 +207,12 @@ def _check_comb_transport(
     rng = np.random.default_rng(_SEED)
     xs, ts = rng.uniform([0.0, 0.0], [sys.l, period(state, sys)], size=(20, 2)).T
     cell = sys.l / state.mu  # x-period of every comb coefficient
-    labels = np.arange(-3, 4)
-    momenta = labels[:, None] * derived_scales(state, sys).P_unit
-    now = comb_rows(xs, ts, state, sys, trunc)
-    before = comb_rows((xs - momenta / sys.m * ts) % cell, 0.0, state, sys, trunc)
-    rows = labels + now.m_max  # row s at every point; in ``before``, at the points shifted for s
-    scale = 1.0 / (sys.hbar * sys.l * now.norm)  # the atoms' weights, as in wigner_comb
-    diff = now.by_label()[rows] * scale - before.by_label()[rows, np.arange(labels.size)] * scale
+    all_labels, all_momenta, now = comb_atoms(xs, ts, state, sys, trunc)
+    rows = np.arange(-3, 4) - all_labels[0]  # rows of s = -3..3
+    shifted = (xs - all_momenta[rows, None] / sys.m * ts) % cell
+    _, _, before = comb_atoms(shifted, 0.0, state, sys, trunc)
+    # atom s at every point; in ``before``, at the points shifted for s
+    diff = now[rows] - before[rows, np.arange(rows.size)]
     worst = float(np.max(np.abs(diff)))
     return CheckResult(
         name="comb-transport",

@@ -151,9 +151,9 @@ def norm_constant(
 
 def _check_domain(x, sys: SystemParams) -> None:
     """Raise ValueError unless every x lies in the closed well [0, l]."""
-    # a float skips numpy here and in _phase_coords: library callers of
-    # scalar psi and wigner_comb take one point per call, and boxing would
-    # dominate them (the CLI and the registry pass whole grids)
+    # a float skips numpy here, in _phase_coords and on psi's point route:
+    # library callers of scalar psi and wigner_comb take one point per call,
+    # and boxing would dominate them (the CLI and the registry pass whole grids)
     if isinstance(x, float):
         inside = 0.0 <= x <= sys.l
     else:
@@ -163,16 +163,18 @@ def _check_domain(x, sys: SystemParams) -> None:
         raise ValueError(f"x outside the well domain [0, {sys.l}]")
 
 
+def _x_phase(x, state: QuantumState, sys: SystemParams):
+    """u = pi*(2*mu*x/l + 1) for a float or an array x, in the same arithmetic."""
+    return math.pi * (2.0 * state.mu * x / sys.l + 1.0)
+
+
 def _phase_coords(x, t, state: QuantumState, sys: SystemParams):
     """Flattened u = pi*(2*mu*x/l + 1), w = (pi/T_mu)*t, and their broadcast shape."""
     scales = derived_scales(state, sys)
     if isinstance(x, float) and isinstance(t, float):  # the same arithmetic, unboxed
-        u = math.pi * (2.0 * state.mu * x / sys.l + 1.0)
-        return np.array([u]), np.array([math.pi / scales.T_mu * t]), ()
-    xa = np.asarray(x, dtype=float)
-    ta = np.asarray(t, dtype=float)
-    u = math.pi * (2.0 * state.mu * xa / sys.l + 1.0)
-    w = math.pi / scales.T_mu * ta
+        return np.array([_x_phase(x, state, sys)]), np.array([math.pi / scales.T_mu * t]), ()
+    u = _x_phase(np.asarray(x, dtype=float), state, sys)
+    w = math.pi / scales.T_mu * np.asarray(t, dtype=float)
     u, w = np.broadcast_arrays(u, w)
     shape = np.shape(u)
     return np.ravel(u), np.ravel(w), shape
@@ -208,6 +210,20 @@ def _jet_table(
     return half_m, quarter_m2, weights
 
 
+def _order0_sums(u, w, half_m: np.ndarray, quarter_m2: np.ndarray, w0: np.ndarray):
+    """Real and imaginary parts of the order-0 jet, summed over the last (mode) axis.
+
+    sum over m of (cos((u/2) m) w0) exp(-i(w/4) m^2): three transcendentals
+    per term, and each part one pairwise ``np.add.reduce`` over the K + 1
+    contiguous modes.  u and w broadcast against the modes, so one point
+    passes floats and a chunk of p points passes (p, 1) columns; the
+    arithmetic per term, and so every bit, is the same either way.
+    """
+    amp = np.cos(u * half_m) * w0
+    ang = w * quarter_m2
+    return np.add.reduce(amp * np.cos(ang), axis=-1), np.add.reduce(amp * np.sin(ang), axis=-1)
+
+
 def psi_jet(
     x,
     t,
@@ -227,8 +243,11 @@ def psi_jet(
 
     The harmonics m and -m are summed as one term, 2 cos or 2i sin of
     (u/2) m, so psi is exactly real at t = 0 and the flux vanishes there
-    exactly.  Each point is reduced by a row sum over the modes, never a
-    matrix product, so a grid call equals per-point calls bit for bit.
+    exactly.  Order 0 reads only the cos, so it costs three transcendentals
+    per term (``_order0_sums``, which scalar ``psi`` calls directly); higher
+    orders take four.  Each point is reduced by a row sum over the modes,
+    never a matrix product, so a grid call equals per-point calls bit for
+    bit, and entry 0 is the same at every order.
     """
     if order not in range(6):
         raise ValueError(f"order must be 0, 1, 2, 3, 4 or 5, got {order!r}")
@@ -241,8 +260,14 @@ def psi_jet(
     chunk = max(1, _JET_BUDGET // n_modes)
     for lo in range(0, uf.size, chunk):
         hi = min(lo + chunk, uf.size)
+        if n == 1:
+            out.real[lo:hi, 0], out.imag[lo:hi, 0] = _order0_sums(
+                uf[lo:hi, None], wf[lo:hi, None], half_m, quarter_m2, weights[0]
+            )
+            continue
         p = hi - lo
-        # angles [-(w/4) m^2, (u/2) m]; cos and sin of both in one call each
+        # angles [-(w/4) m^2, (u/2) m]; the odd orders need sin((u/2) m) too,
+        # so cos and sin of both in one call each
         ang = np.empty((p, 2, n_modes))
         np.multiply(wf[lo:hi, None], quarter_m2, out=ang[:, 0])
         np.multiply(uf[lo:hi, None], half_m, out=ang[:, 1])
@@ -325,6 +350,14 @@ def jet_forms(
     return JetForms(psi_jet(x, t, state, sys, trunc, order), sys.l * scaled_norm_sum(state, trunc))
 
 
+@functools.lru_cache(maxsize=64)
+def _point_constants(state: QuantumState, sys: SystemParams, trunc: Truncation):
+    """Per-state constants of scalar ``psi``: order-0 jet rows, pi/T_mu, sqrt(l * scaled_norm_sum)."""
+    half_m, quarter_m2, weights = _jet_table(state.beta, trunc, state.mu, sys.l)
+    w_scale = math.pi / derived_scales(state, sys).T_mu
+    return half_m, quarter_m2, weights[0], w_scale, math.sqrt(sys.l * scaled_norm_sum(state, trunc))
+
+
 def _unbox(val):
     """A float for a 0-d result, the array otherwise."""
     if np.ndim(val) == 0:
@@ -345,7 +378,14 @@ def psi(
     by part (a complex array division rounds otherwise).  Boundary
     evaluations return the raw series value, which cancels to the truncation
     floor rather than being forced to exactly 0.  Broadcasts over x and t.
+    A float x and t (``np.float64`` too) skip the grid machinery: one cached
+    lookup and one ``_order0_sums`` call on the mode rows, with the same bits.
     """
+    if isinstance(x, float) and isinstance(t, float):
+        _check_domain(x, sys)
+        half_m, quarter_m2, w0, w_scale, root = _point_constants(state, sys, trunc)
+        re, im = _order0_sums(_x_phase(x, state, sys), w_scale * t, half_m, quarter_m2, w0)
+        return complex(re / root, im / root)
     theta_scaled = psi_jet(x, t, state, sys, trunc)[0]
     root = math.sqrt(sys.l * scaled_norm_sum(state, trunc))
     if theta_scaled.ndim == 0:

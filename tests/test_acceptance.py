@@ -226,8 +226,9 @@ LAW_GRID = (21, 11)
         ("schrodinger-residual", verification, "schrodinger_residual", [(50,)]),
         ("wigner-marginal", verification, "comb_rows", [(11, 51)]),
         ("wigner-marginal", verification, "density", [(11, 51)]),
-        # the 20 points, then for s = -3..3 the points shifted back to t = 0
-        ("comb-transport", verification, "comb_rows", [(20,), (7, 20)]),
+        # the 20 points, then for s = -3..3 the points shifted back to t = 0,
+        # each through comb_atoms, the atoms' one route
+        ("comb-transport", phase_space, "comb_rows", [(20,), (7, 20)]),
         ("velocity-two-path", verification, "velocity_from_vlasov", [(21, 11)]),
         # the k = 1 law and its rate on the grid; the density and its
         # derivatives at the 20 Madelung points
@@ -282,3 +283,19 @@ def test_cli_field_command_makes_one_grid_call(command, field, monkeypatch, caps
     assert len(table) == 1 + 9 * 4 * per_point  # header and the rows of every grid point
     assert len(calls) == 1
     assert np.broadcast_shapes(np.shape(calls[0][0]), np.shape(calls[0][1])) == (4, 9)
+
+
+def test_scalar_psi_looks_up_its_state_once(monkeypatch):
+    """100 float psi calls at one state: at most one derived_scales and one mode_table call.
+
+    The per-state constants of the point route come from one cached lookup,
+    so neither the scales nor the mode table is rebuilt or looked up per call.
+    """
+    state = QuantumState(2, 0.037)
+    wavefunction.psi(0.5, 0.0, state)
+    scales = _count_calls(monkeypatch, wavefunction, "derived_scales")
+    modes = _count_calls(monkeypatch, wavefunction, "mode_table")
+    rng = np.random.default_rng(5)
+    for x, t in rng.uniform(0.0, 1.0, size=(100, 2)).tolist():
+        assert type(wavefunction.psi(x, t, state)) is complex
+    assert len(scales) <= 1 and len(modes) <= 1, (len(scales), len(modes))

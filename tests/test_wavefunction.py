@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetawell.numerics import Truncation, integrate
+from thetawell.density import density
+from thetawell.numerics import DEFAULT_TRUNCATION, Truncation, integrate
 from thetawell.theta import ThetaArgs, theta_char
 from thetawell.wavefunction import (
     NATURAL_UNITS,
     QuantumState,
     SystemParams,
+    _jet_table,
     derived_scales,
     norm_constant,
     psi,
@@ -24,6 +26,8 @@ from thetawell.wavefunction import (
     schrodinger_residual_of,
     stationary_psi,
 )
+
+SYSTEMS = (NATURAL_UNITS, SystemParams(m=1.3, l=0.8, hbar=0.9))
 
 
 def test_norm_constant_frozen_value():
@@ -223,3 +227,110 @@ def test_psi_jet_shape_and_order_check():
         psi_jet(0.4, 0.01, state, order=6)
     with pytest.raises(ValueError):
         psi_jet(np.array([0.2, 1.2]), 0.0, state)
+
+
+def _assert_same_bits(got, want):
+    """Equal shape, dtype and IEEE bit patterns (real and imaginary parts), so -0.0 and 0.0 differ."""
+    got, want = np.ascontiguousarray(np.atleast_1d(got)), np.ascontiguousarray(np.atleast_1d(want))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def reference_jet0(x, t, state, sys):
+    """The order-0 jet by the four-transcendental chunk loop: cos and sin of both angles.
+
+    The loop that orders >= 1 still run, restricted to order 0: the reference
+    that the three-transcendental order-0 kernel must match bit for bit.
+    """
+    half_m, quarter_m2, weights = _jet_table(state.beta, DEFAULT_TRUNCATION, state.mu, sys.l)
+    n_modes = half_m.size
+    u = math.pi * (2.0 * state.mu * np.asarray(x, dtype=float) / sys.l + 1.0)
+    w = math.pi / derived_scales(state, sys).T_mu * np.asarray(t, dtype=float)
+    u, w = np.broadcast_arrays(u, w)
+    shape = u.shape
+    uf, wf = u.ravel(), w.ravel()
+    out = np.empty(uf.size, dtype=complex)
+    chunk = max(1, (1 << 12) // n_modes)
+    for lo in range(0, uf.size, chunk):
+        hi = min(lo + chunk, uf.size)
+        p = hi - lo
+        ang = np.empty((p, 2, n_modes))
+        np.multiply(wf[lo:hi, None], quarter_m2, out=ang[:, 0])
+        np.multiply(uf[lo:hi, None], half_m, out=ang[:, 1])
+        trig = np.empty((p, 2, 2, n_modes))
+        np.cos(ang, out=trig[:, 0])
+        np.sin(ang, out=trig[:, 1])
+        rot = trig[:, :, 0]
+        xw = trig[:, :, 1][:, :1] * weights[:1]
+        sums = np.add.reduce(xw[:, :, None, :] * rot[:, None, :, :], axis=-1)
+        out[lo:hi] = sums.view(complex)[..., 0, 0]
+    return out.reshape(shape)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.1, 1e-3, 1e-5, 1e-6])
+@pytest.mark.parametrize("mu", [1, 3])
+@pytest.mark.parametrize("sys", SYSTEMS, ids=["natural", "scaled"])
+def test_order0_matches_four_transcendental_reference(beta, mu, sys):
+    """psi_jet(order=0), psi and density equal the reference bit for bit, on grids and points."""
+    state = QuantumState(mu, beta)
+    t_mu = derived_scales(state, sys).T_mu
+    xs = np.array([0.0, 0.137, 0.5, 0.861, 1.0]) * sys.l
+    ts = np.array([0.0, -0.42, 0.31, 7.37]) * t_mu
+    want = reference_jet0(xs[:, None], ts[None, :], state, sys)
+    norm = sys.l * scaled_norm_sum(state)
+    root = math.sqrt(norm)
+    want_psi = np.empty_like(want)
+    want_psi.real, want_psi.imag = want.real / root, want.imag / root
+    want_density = (want.real * want.real + want.imag * want.imag) / norm
+
+    _assert_same_bits(psi_jet(xs[:, None], ts[None, :], state, sys)[0], want)
+    _assert_same_bits(psi(xs[:, None], ts[None, :], state, sys), want_psi)
+    _assert_same_bits(density(xs[:, None], ts[None, :], state, sys), want_density)
+    for i, x in enumerate(xs.tolist()):
+        for j, t in enumerate(ts.tolist()):
+            _assert_same_bits(psi_jet(x, t, state, sys)[0], want[i, j])
+            _assert_same_bits(psi(x, t, state, sys), want_psi[i, j])
+            _assert_same_bits(density(x, t, state, sys), want_density[i, j])
+
+
+def test_point_route_rejects_what_the_array_route_rejects():
+    state = QuantumState(2, 0.3)
+    for x in (math.nan, -0.01, NATURAL_UNITS.l + 0.01):
+        with pytest.raises(ValueError) as point:
+            psi(x, 0.1, state)
+        with pytest.raises(ValueError) as grid:
+            psi(np.array([x]), 0.1, state)
+        assert str(point.value) == str(grid.value)
+
+
+@pytest.mark.parametrize("beta", [0.1, 1e-6])
+def test_point_route_float64_and_mixed_arguments(beta):
+    """np.float64 points equal Python floats; a float with an array takes the array route."""
+    state = QuantumState(3, beta)
+    sys = SYSTEMS[1]
+    t_mu = derived_scales(state, sys).T_mu
+    xs = np.array([0.0, 0.29, 0.64, 1.0]) * sys.l
+    ts = np.array([0.0, -1.3, 0.6]) * t_mu
+    points = [[psi(x, t, state, sys) for t in ts.tolist()] for x in xs.tolist()]
+    for i, x in enumerate(xs):
+        for j, t in enumerate(ts):
+            for value in (psi(x, t, state, sys), psi(np.array(x), t, state, sys)):
+                assert type(value) is complex  # np.float64 scalars, then a 0-d array
+                _assert_same_bits(value, points[i][j])
+    for i, x in enumerate(xs.tolist()):
+        row = psi(x, ts, state, sys)
+        assert isinstance(row, np.ndarray)
+        _assert_same_bits(row, points[i])
+    for j, t in enumerate(ts.tolist()):
+        _assert_same_bits(psi(xs, t, state, sys), [row[j] for row in points])
+
+
+@pytest.mark.parametrize("beta", [0.1, 1e-6])
+def test_jet_entry_zero_is_the_order0_jet_at_every_order(beta):
+    # at beta = 1e-6 the K + 1 = 3204 modes leave one point per chunk
+    state = QuantumState(1, beta)
+    xs = np.array([0.0, 0.21, 0.5, 0.93, 1.0])
+    ts = np.array([0.0, 0.017, -0.05])
+    jet0 = psi_jet(xs[:, None], ts[None, :], state)[0]
+    for k in range(1, 6):
+        _assert_same_bits(psi_jet(xs[:, None], ts[None, :], state, order=k)[0], jet0)
