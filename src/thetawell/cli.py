@@ -28,7 +28,7 @@ import numpy as np
 from .density import averaged_density, density, period
 from .numerics import DEFAULT_TRUNCATION, FieldSample, FieldTag, Truncation, TruncationOverflowError
 from .phase_space import DENSITY_FLOOR, comb_atoms, moments, velocity_field
-from .thermo import entropy, gibbs_params, mean_energy_gibbs
+from .thermo import gibbs_table
 from .verification import run_all_checks
 from .wavefunction import QuantumState, SystemParams
 
@@ -399,20 +399,13 @@ def _thermo_table(config: JobConfig) -> tuple[dict[str, _Column], dict[str, str]
         start, stop, count = config.beta_sweep
         betas = np.linspace(start, stop, count).tolist()
     units = {"mean_energy": "energy", "entropy": "k_B"}
-    energies: list[float] = []
-    entropies: list[float] = []
-    for mu in mus:
-        for beta in betas:
-            state = QuantumState(mu, beta)
-            gp = gibbs_params(state, sys_params)
-            energies.append(float(mean_energy_gibbs(gp, state, trunc)))
-            entropies.append(float(entropy(gp, state, trunc)))
+    _, energies, entropies = gibbs_table(betas, mus, sys_params, trunc)
     shape = (len(mus), len(betas))
     columns = {
         "mu": _Column(mus, _along(shape, 0)),
         "beta": _Column(betas, _along(shape, 1)),
-        "mean_energy": _Column(energies),
-        "entropy": _Column(entropies),
+        "mean_energy": _Column(energies.ravel().tolist()),
+        "entropy": _Column(entropies.ravel().tolist()),
     }
     return columns, units
 

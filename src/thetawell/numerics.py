@@ -114,28 +114,60 @@ def _satisfies_tail_bound(k: int, beta: float, tol: float) -> bool:
     return math.pi * beta / 4.0 * (2 * k + 1) ** 2 >= math.pi * beta / 2.0 + math.log(1.0 / tol)
 
 
-def cutoff_for(beta: float, trunc: Truncation = DEFAULT_TRUNCATION) -> int:
+def cutoff_for(beta, trunc: Truncation = DEFAULT_TRUNCATION):
     """Smallest index K whose first discarded Gaussian weight is below tolerance.
 
     The governing weights are exp(-(pi*beta/4)(2k+1)^2); the returned K is the
     smallest integer with exp(-(pi*beta/4)(2K+1)^2) <= tol * exp(-pi*beta/2),
     i.e. (2K+1)^2 >= 2 + (4/(pi*beta)) ln(1/tol).  Monotone: smaller beta or
-    smaller tol never shrink K.
+    smaller tol never shrink K.  An array of beta gives an integer array of
+    the same shape, the scalar K per element (``_cutoff_array``).
     """
+    if np.ndim(beta):
+        return _cutoff_array(beta, trunc)
     if not (beta > 0.0) or not math.isfinite(beta):
         raise ValueError(f"beta must be a positive finite number, got {beta!r}")
     rhs = 2.0 + 4.0 * math.log(1.0 / trunc.tol) / (math.pi * beta)
     k = max(1, math.ceil((math.sqrt(rhs) - 1.0) / 2.0))
-    # the closed form can be off by one ulp either way; settle it exactly
-    while k > 1 and _satisfies_tail_bound(k - 1, beta, trunc.tol):
-        k -= 1
-    while not _satisfies_tail_bound(k, beta, trunc.tol):
-        k += 1
+    # the closed form can be off by one ulp either way; settle it exactly,
+    # unless it is past twice the cap: then it fails anyway, and at huge k
+    # (beta ~ 1e-100) k and k - 1 round to the same float and never settle
+    if k <= 2 * trunc.max_index:
+        while k > 1 and _satisfies_tail_bound(k - 1, beta, trunc.tol):
+            k -= 1
+        while not _satisfies_tail_bound(k, beta, trunc.tol):
+            k += 1
     if k > trunc.max_index:
         raise TruncationOverflowError(
             f"truncation overflow: required cutoff {k} exceeds max_index "
             f"{trunc.max_index} (beta={beta}, tol={trunc.tol})"
         )
+    return k
+
+
+def _cutoff_array(beta, trunc: Truncation = DEFAULT_TRUNCATION) -> np.ndarray:
+    """``cutoff_for`` over an array of beta: the same closed form and exact settling per element.
+
+    Raises what the scalar raises for the first offending element, with its
+    message.
+    """
+    beta = np.asarray(beta, dtype=float)
+    bad = ~((beta > 0.0) & np.isfinite(beta))
+    if bad.any():
+        cutoff_for(float(beta[bad][0]), trunc)  # raises the scalar ValueError
+    rhs = 2.0 + 4.0 * math.log(1.0 / trunc.tol) / (math.pi * beta)
+    # clipped past twice the cap, where the scalar stops settling: such
+    # elements fail anyway, and the integers cannot overflow
+    cap = 2 * trunc.max_index
+    k = np.clip(np.ceil((np.sqrt(rhs) - 1.0) / 2.0), 1, cap + 1).astype(np.int64)
+    # _satisfies_tail_bound is elementwise as written, in the same arithmetic
+    while (down := (k > 1) & (k <= cap) & _satisfies_tail_bound(k - 1, beta, trunc.tol)).any():
+        k -= down
+    while (up := (k <= cap) & ~_satisfies_tail_bound(k, beta, trunc.tol)).any():
+        k += up
+    over = k > trunc.max_index
+    if over.any():
+        cutoff_for(float(beta[over][0]), trunc)  # raises the scalar TruncationOverflowError
     return k
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .numerics import DEFAULT_TRUNCATION, Truncation, cutoff_for
 
-__all__ = ["ThetaArgs", "theta_char", "theta1", "heat_identity_residual"]
+__all__ = ["ThetaArgs", "theta_char", "theta_dual", "theta1", "heat_identity_residual"]
 
 _TWO_PI_I = 2j * math.pi
 _VELTKAMP = 134217729.0  # 2**27 + 1
@@ -104,6 +104,28 @@ def theta_char(args: ThetaArgs, trunc: Truncation = DEFAULT_TRUNCATION) -> compl
     )
     modulus = -math.pi * tau.imag * ka * ka - 2.0 * math.pi * z.imag * ka
     return complex(np.sum(np.exp(modulus + _TWO_PI_I * turns)))
+
+
+def theta_dual(args: ThetaArgs, trunc: Truncation = DEFAULT_TRUNCATION) -> complex:
+    """The theta series at purely imaginary tau = i kappa and real z, by Poisson summation.
+
+    theta[a, b](z, i kappa) = kappa^(-1/2) sum_k exp(2 pi i k a) exp(-pi (k - w)^2 / kappa)
+    with w = z + b: a handful of Gaussians when kappa is small, where the
+    direct series needs K ~ kappa^(-1/2) terms.  Terms are kept while
+    exp(-pi (k - w)^2 / kappa) > tol * exp(-pi kappa / 4), the smallest value
+    of the half-characteristic sum relative to its leading term, and summed
+    center-out.  Its rounding grows with that cancellation as kappa grows,
+    so callers keep ``theta_char`` for large kappa.
+    """
+    tau, z = complex(args.tau), complex(args.z)
+    if tau.real != 0.0 or z.imag != 0.0:
+        raise ValueError(f"theta_dual needs imaginary tau and real z, got tau={tau!r}, z={z!r}")
+    kappa, w = tau.imag, z.real + args.b
+    reach = math.sqrt(kappa / math.pi * (math.log(1.0 / trunc.tol) + math.pi * kappa / 4.0))
+    ks = _index_window(-w, math.ceil(reach))
+    k = ks.astype(float)
+    terms = np.exp(-math.pi * (k - w) ** 2 / kappa + _TWO_PI_I * _turns(args.a, k))
+    return complex(np.sum(terms)) / math.sqrt(kappa)
 
 
 def theta1(z: complex, tau: complex, trunc: Truncation = DEFAULT_TRUNCATION) -> complex:

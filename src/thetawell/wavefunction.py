@@ -168,14 +168,18 @@ def _x_phase(x, state: QuantumState, sys: SystemParams):
     return math.pi * (2.0 * state.mu * x / sys.l + 1.0)
 
 
+def _axis_phases(x, t, state: QuantumState, sys: SystemParams):
+    """u = pi*(2*mu*x/l + 1) over x and w = (pi/T_mu)*t over t, each in its own shape."""
+    w_scale = math.pi / derived_scales(state, sys).T_mu
+    return _x_phase(np.asarray(x, dtype=float), state, sys), w_scale * np.asarray(t, dtype=float)
+
+
 def _phase_coords(x, t, state: QuantumState, sys: SystemParams):
     """Flattened u = pi*(2*mu*x/l + 1), w = (pi/T_mu)*t, and their broadcast shape."""
-    scales = derived_scales(state, sys)
     if isinstance(x, float) and isinstance(t, float):  # the same arithmetic, unboxed
-        return np.array([_x_phase(x, state, sys)]), np.array([math.pi / scales.T_mu * t]), ()
-    u = _x_phase(np.asarray(x, dtype=float), state, sys)
-    w = math.pi / scales.T_mu * np.asarray(t, dtype=float)
-    u, w = np.broadcast_arrays(u, w)
+        w_scale = math.pi / derived_scales(state, sys).T_mu
+        return np.array([_x_phase(x, state, sys)]), np.array([w_scale * t]), ()
+    u, w = np.broadcast_arrays(*_axis_phases(x, t, state, sys))
     shape = np.shape(u)
     return np.ravel(u), np.ravel(w), shape
 
@@ -184,6 +188,10 @@ def _phase_coords(x, t, state: QuantumState, sys: SystemParams):
 # 704 KiB at order 5, so callers pass whole grids; larger chunks cost memory
 # and save no time
 _JET_BUDGET = 1 << 12
+
+# rows x modes of psi_jet's per-x and per-t trig tables at once, each entry a
+# cos/sin pair: 256 KiB, less than one chunk's work arrays at orders >= 1
+_TABLE_BUDGET = 1 << 14
 
 
 @functools.lru_cache(maxsize=64)
@@ -224,6 +232,92 @@ def _order0_sums(u, w, half_m: np.ndarray, quarter_m2: np.ndarray, w0: np.ndarra
     return np.add.reduce(amp * np.cos(ang), axis=-1), np.add.reduce(amp * np.sin(ang), axis=-1)
 
 
+def _jet_sums(xs: np.ndarray, rot: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Orders 0..n-1 (n >= 2) of p points from their trig rows, as a (p, n) complex array.
+
+    ``xs`` holds cos and sin of (u/2) m and ``rot`` cos and sin of -(w/4) m^2,
+    each (p, 2, K + 1): xs times the weights, times rot, and one pairwise row
+    sum per part over the modes.
+    """
+    p, n_modes = xs.shape[0], xs.shape[-1]
+    if n <= 2:
+        xw = xs[:, :n] * weights[:n]
+    else:  # row pairs (even, odd order) take (cos, sin)
+        r = (n + 1) // 2
+        pairs = weights[: 2 * r].reshape(r, 2, n_modes)
+        xw = (xs[:, None] * pairs).reshape(p, 2 * r, n_modes)[:, :n]
+    sums = np.add.reduce(xw[:, :, None, :] * rot[:, None, :, :], axis=-1)
+    return sums.view(complex)[..., 0]
+
+
+def _trig_rows(phases: np.ndarray, factor: np.ndarray, sin: bool = True) -> np.ndarray:
+    """A psi_jet table: cos and sin of phase * factor, a (2, K + 1) row per phase, or the cos alone."""
+    if not sin:
+        ang = phases[:, None] * factor
+        return np.cos(ang, out=ang)
+    rows = np.empty((phases.size, 2, factor.size))
+    ang = np.multiply(phases[:, None], factor, out=rows[:, 1])  # the sin slot, in place
+    np.cos(ang, out=rows[:, 0])
+    np.sin(ang, out=ang)
+    return rows
+
+
+def _table_slabs(ix: np.ndarray, it: np.ndarray, n_x: int, n_t: int, rows: int):
+    """Consecutive point ranges whose x and t tables fit ``rows`` rows together.
+
+    Yields (lo, hi, x0, x1, t0, t1): points lo..hi-1 read x rows x0..x1-1 and
+    t rows t0..t1-1.  A grid within budget is one range.  Otherwise each range
+    is the longest run whose index spans fit; S consecutive points are S
+    distinct (x, t) pairs, so no run that fits is longer than rows^2/4.
+    """
+    if n_x + n_t <= rows:
+        yield 0, ix.size, 0, n_x, 0, n_t
+        return
+    lo = 0
+    while lo < ix.size:
+        hi = min(ix.size, lo + rows * rows // 4 + 1)
+        x0, x1 = np.minimum.accumulate(ix[lo:hi]), np.maximum.accumulate(ix[lo:hi])
+        t0, t1 = np.minimum.accumulate(it[lo:hi]), np.maximum.accumulate(it[lo:hi])
+        size = max(1, int(np.count_nonzero(x1 - x0 + t1 - t0 + 2 <= rows)))
+        end = size - 1
+        yield lo, lo + size, int(x0[end]), int(x1[end]) + 1, int(t0[end]), int(t1[end]) + 1
+        lo += size
+
+
+def _grid_jet(x, t, shape, state, sys, half_m, quarter_m2, weights, n: int) -> np.ndarray:
+    """psi_jet's (points, n) sums on a grid, from trig tables over the distinct x and t.
+
+    cos/sin of (u/2) m is taken once per x value and cos/sin of -(w/4) m^2
+    once per t value, then gathered per chunk into the same products and row
+    sums as the per-point route, so every bit is the same.  The tables are
+    built per run of points within ``_TABLE_BUDGET`` (``_table_slabs``).
+    """
+    u, w = _axis_phases(x, t, state, sys)
+    ix = np.broadcast_to(np.arange(u.size).reshape(u.shape), shape).ravel()
+    it = np.broadcast_to(np.arange(w.size).reshape(w.shape), shape).ravel()
+    u, w = u.ravel(), w.ravel()
+    n_modes = half_m.size
+    out = np.empty((ix.size, n), dtype=complex)
+    chunk = max(1, _JET_BUDGET // n_modes)
+    for lo, hi, x0, x1, t0, t1 in _table_slabs(ix, it, u.size, w.size, _TABLE_BUDGET // n_modes):
+        t_rows = _trig_rows(w[t0:t1], quarter_m2)
+        if n == 1:  # cos((u/2) m) w0, as _order0_sums takes it
+            x_rows = _trig_rows(u[x0:x1], half_m, sin=False)
+            x_rows *= weights[0]
+        else:
+            x_rows = _trig_rows(u[x0:x1], half_m)
+        for c in range(lo, hi, chunk):
+            e = min(c + chunk, hi)
+            xs = np.take(x_rows, ix[c:e] - x0, axis=0)
+            rot = np.take(t_rows, it[c:e] - t0, axis=0)
+            if n == 1:
+                sums = np.add.reduce(xs[:, None, :] * rot, axis=-1)
+                out.real[c:e, 0], out.imag[c:e, 0] = sums[:, 0], sums[:, 1]
+            else:
+                out[c:e] = _jet_sums(xs, rot, weights, n)
+    return out
+
+
 def psi_jet(
     x,
     t,
@@ -248,14 +342,24 @@ def psi_jet(
     orders take four.  Each point is reduced by a row sum over the modes,
     never a matrix product, so a grid call equals per-point calls bit for
     bit, and entry 0 is the same at every order.
+
+    The angle (u/2) m depends on x alone and (w/4) m^2 on t alone.  When x
+    and t hold at most half as many values as their broadcast has points
+    (x.size + t.size <= points // 2, a grid), their trig is taken once per
+    value and gathered (``_grid_jet``); scattered points and single points
+    take it per point.
     """
     if order not in range(6):
         raise ValueError(f"order must be 0, 1, 2, 3, 4 or 5, got {order!r}")
     _check_domain(x, sys)
     half_m, quarter_m2, weights = _jet_table(state.beta, trunc, state.mu, sys.l)
+    n = order + 1
+    shape = np.broadcast_shapes(np.shape(x), np.shape(t))
+    if np.size(x) + np.size(t) <= math.prod(shape) // 2:
+        out = _grid_jet(x, t, shape, state, sys, half_m, quarter_m2, weights, n)
+        return out.T.reshape((n, *shape))
     n_modes = half_m.size
     uf, wf, shape = _phase_coords(x, t, state, sys)
-    n = order + 1
     out = np.empty((uf.size, n), dtype=complex)
     chunk = max(1, _JET_BUDGET // n_modes)
     for lo in range(0, uf.size, chunk):
@@ -274,16 +378,8 @@ def psi_jet(
         trig = np.empty((p, 2, 2, n_modes))
         np.cos(ang, out=trig[:, 0])
         np.sin(ang, out=trig[:, 1])
-        rot = trig[:, :, 0]  # cos and -sin of (w/4) m^2: exp(-i(w/4) m^2)
-        xs = trig[:, :, 1]  # cos and sin of (u/2) m: even and odd orders
-        if n <= 2:
-            xw = xs[:, :n] * weights[:n]
-        else:  # row pairs (even, odd order) take (cos, sin)
-            r = (n + 1) // 2
-            pairs = weights[: 2 * r].reshape(r, 2, n_modes)
-            xw = (xs[:, None] * pairs).reshape(p, 2 * r, n_modes)[:, :n]
-        sums = np.add.reduce(xw[:, :, None, :] * rot[:, None, :, :], axis=-1)
-        out[lo:hi] = sums.view(complex)[..., 0]
+        # cos and sin of (u/2) m; cos and -sin of (w/4) m^2, i.e. exp(-i(w/4) m^2)
+        out[lo:hi] = _jet_sums(trig[:, :, 1], trig[:, :, 0], weights, n)
     return out.T.reshape((n, *shape))
 
 

@@ -14,6 +14,7 @@ tends to the flat-mixture value 1/5.
 """
 
 import dataclasses
+import re
 import sys
 import time
 
@@ -153,6 +154,22 @@ def test_folded_oracle_is_live(name, monkeypatch):
     assert not r.passed, r.detail
 
 
+def test_theta_form_is_live(monkeypatch):
+    """Z off by 1 + 1e-10 fails gibbs-layer through its theta-form sub-check.
+
+    The theta form is the Poisson dual of the mode sum over beta 0.05..2, so
+    a scaled ``partition`` no longer matches it; before the dual both routes
+    summed the same terms and the sub-check read exactly 0.
+    """
+    assert run_check("gibbs-layer").passed
+    real = thermo.partition
+    monkeypatch.setattr(verification, "partition", lambda *args: real(*args) * (1.0 + 1e-10))
+    r = run_check("gibbs-layer")
+    assert not r.passed
+    theta_form = float(re.search(r"theta-form (\S+)", r.detail).group(1))
+    assert theta_form > 1e-12, r.detail
+
+
 def _replace_everywhere(monkeypatch, name: str, replacement) -> None:
     """Bind ``replacement`` in every thetawell module that binds the real ``name``."""
     real = getattr(phase_space, name)
@@ -224,7 +241,8 @@ LAW_GRID = (21, 11)
         # 3 levels x 4 widths: psi once on the 1,025 nodes, the 5 times as rows
         ("normalization", verification, "psi", [(5, 1025)] * 12),
         ("schrodinger-residual", verification, "schrodinger_residual", [(50,)]),
-        ("wigner-marginal", verification, "comb_rows", [(11, 51)]),
+        # the marginal sums the weights of comb_atoms, which reads the rows
+        ("wigner-marginal", phase_space, "comb_rows", [(11, 51)]),
         ("wigner-marginal", verification, "density", [(11, 51)]),
         # the 20 points, then for s = -3..3 the points shifted back to t = 0,
         # each through comb_atoms, the atoms' one route

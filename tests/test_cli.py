@@ -358,6 +358,18 @@ WRITER_CASES = [
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_thermo_readme_sweep_matches_row_reference(capsys, fmt):
+    """The README sweep (one Gibbs-sum call for its 40 widths) equals the per-row scalar readers."""
+    argv = ["thermo", "--mu", "1..5", "--beta-sweep", "0.05:2.0:40", "--format", fmt]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    config = cli._build_config(cli._make_parser().parse_args(argv))
+    columns, rows, units = _reference_rows(config)
+    meta = cli._meta_lines(config, config.system(), columns, units)
+    assert out == _reference_emit(fmt, columns, rows, meta)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv", WRITER_CASES, ids=lambda argv: argv[0])
 def test_writer_matches_row_dict_reference(capsys, argv, fmt):
     argv = argv + ["--format", fmt]

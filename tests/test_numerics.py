@@ -214,3 +214,39 @@ def test_tagged_points_and_grids():
     grid = tagged(np.array([[1.0, math.inf]]), np.array([[True, False]]), FieldTag.NODE_UNDEFINED)
     assert grid.tag.tolist() == [[FieldTag.FINITE, FieldTag.NODE_UNDEFINED]]
     assert grid.value[0, 0] == 1.0 and math.isnan(grid.value[0, 1])
+
+
+# ---------------------------------------------------------------- array cutoffs
+
+
+def test_array_cutoff_equals_scalar():
+    betas = np.geomspace(6.2e-7, 50.0, 3001)
+    ks = cutoff_for(betas)
+    assert ks.shape == betas.shape and ks.dtype.kind == "i"
+    assert ks.tolist() == [cutoff_for(float(b)) for b in betas]
+    for trunc in (Truncation(tol=1e-8), Truncation(tol=1e-12, max_index=5000)):
+        sample = betas[::37]
+        assert cutoff_for(sample, trunc).tolist() == [cutoff_for(float(b), trunc) for b in sample]
+    grid = betas[:12].reshape(3, 4)
+    assert cutoff_for(grid).tolist() == [[cutoff_for(float(b)) for b in row] for row in grid]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_array_cutoff_rejects_what_the_scalar_rejects(bad):
+    with pytest.raises(ValueError) as scalar:
+        cutoff_for(bad)
+    with pytest.raises(ValueError) as array:
+        cutoff_for(np.array([0.5, bad, 0.1]))
+    assert str(array.value) == str(scalar.value)
+
+
+def test_array_cutoff_overflow_names_the_beta():
+    # 6.10e-7 needs cutoff 4101 > 4096; below ~1e-100 the closed form's k and
+    # k - 1 are the same float, and it overflows a 64-bit integer
+    for bad in (6.10e-7, 1e-8, 1e-100, 1e-300):
+        with pytest.raises(TruncationOverflowError) as scalar:
+            cutoff_for(bad)
+        with pytest.raises(TruncationOverflowError) as array:
+            cutoff_for(np.array([1.0, bad, 1e-8]))
+        assert str(array.value) == str(scalar.value)
+        assert f"beta={bad}" in str(array.value)

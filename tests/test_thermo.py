@@ -17,6 +17,8 @@ from thetawell.thermo import (
     entropy,
     entropy_from_factor,
     gibbs_params,
+    gibbs_sums,
+    gibbs_table,
     gibbs_weights,
     mean_energy_gibbs,
     partition,
@@ -31,6 +33,7 @@ from thetawell.wavefunction import (
     QuantumState,
     SystemParams,
     derived_scales,
+    mode_table,
     norm_constant,
 )
 
@@ -359,3 +362,82 @@ def test_entropy_form_equivalence_property(beta):
         - math.log(2.0)
     )
     assert entropy(gp, state) == pytest.approx(direct, abs=1e-10)
+
+
+# ---------------------------------------------------------------- beta arrays
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_gibbs_sums_equal_mode_table_sums():
+    """One block per cutoff group, summed as mode_table's weights are: the same bits."""
+    betas = np.concatenate([np.linspace(0.2, 1.0, 2001), np.geomspace(3.1e-7, 30.0, 97)])
+    s0, s2 = gibbs_sums(betas)
+    for b, a0, a2 in zip(betas.tolist(), s0.tolist(), s2.tolist()):
+        w = mode_table(b).w
+        m = mode_table(b).m
+        assert (a0, a2) == (float(np.sum(w)), float(np.sum(m * m * w))), b
+        assert gibbs_sums(b) == (a0, a2)
+    assert [a.shape for a in gibbs_sums(betas.reshape(-1, 2))] == [(betas.size // 2, 2)] * 2
+
+
+@pytest.mark.parametrize("sys", [NATURAL_UNITS, SystemParams(m=1.3, l=0.8, hbar=0.9)], ids=["natural", "scaled"])
+def test_gibbs_table_equals_scalar_readers(sys):
+    betas = np.concatenate([np.linspace(0.05, 2.0, 40), [1e-6, 0.7, 20.0]])
+    mus = (1, 2, 5)
+    bt, energy, ent = gibbs_table(betas, mus, sys)
+    assert bt.shape == energy.shape == ent.shape == (len(mus), betas.size)
+    for i, mu in enumerate(mus):
+        for j, b in enumerate(betas.tolist()):
+            state = QuantumState(mu, b)
+            gp = gibbs_params(state, sys)
+            want = [gp.beta_thermo, mean_energy_gibbs(gp, state), entropy(gp, state)]
+            assert np.array_equal(_bits([bt[i, j], energy[i, j], ent[i, j]]), _bits(want)), (mu, b)
+
+
+def test_registry_rerun_misses_no_mode_table():
+    from thetawell.verification import run_all_checks
+
+    mode_table.cache_clear()
+    run_all_checks()
+    before = mode_table.cache_info()
+    assert all(r.passed for r in run_all_checks())
+    after = mode_table.cache_info()
+    assert after.misses == before.misses
+    assert after.currsize <= 32
+
+
+@pytest.mark.parametrize(
+    "beta",
+    [1e-8, 1e-6 * (1 - 1e-5), 1e-6 * (1 + 1e-5), 1e-3, 0.05, 0.7, 2.0 * (1 + 1e-5), 2.1, 2.1 * (1 + 1e-9), 3.0, 8.0],
+)
+def test_partition_theta_form_precision_oracle(beta):
+    """Both routes of the theta form against a 40-digit Z, within 3e-15 of Z.
+
+    The dual (beta <= 2.1) is checked with its own 40-digit Poisson sum where
+    mpmath's jtheta cannot take q so close to 1.
+    """
+    state = QuantumState(1, beta)
+    with mpmath.workdps(40):
+        kappa = 2 * mpmath.mpf(beta)
+        if beta < 0.01:
+            want = mpmath.nsum(
+                lambda k: (-1) ** int(k) * mpmath.exp(-mpmath.pi * k * k / kappa), [-mpmath.inf, mpmath.inf]
+            ) / mpmath.sqrt(kappa)
+        else:
+            want = mpmath.jtheta(2, 0, mpmath.exp(-mpmath.pi * kappa))
+        want = float(want)
+    assert abs(partition_theta_form(gp_of(state), state) - want) <= 3e-15 * want
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.1, 0.7, 1.0, 2.0])
+def test_partition_theta_form_is_the_dual(beta):
+    """In the registry's window the theta form shares no term with the mode sum, yet agrees."""
+    from thetawell.theta import ThetaArgs, theta_dual
+
+    state = QuantumState(1, beta)
+    z = partition_theta_form(gp_of(state), state)
+    assert z == theta_dual(ThetaArgs(0.5, 0.5, -0.5, 2j * beta)).real
+    assert z == pytest.approx(partition(gp_of(state), state), abs=1e-12, rel=0.0)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetawell.numerics import Truncation
-from thetawell.theta import ThetaArgs, heat_identity_residual, theta1, theta_char
+from thetawell.theta import ThetaArgs, heat_identity_residual, theta1, theta_char, theta_dual
 from thetawell.wavefunction import (
     NATURAL_UNITS,
     QuantumState,
@@ -241,3 +241,18 @@ def test_psi_matches_theta_char_at_small_beta(x, t):
     tau = complex(-2.0 * math.pi * t, state.beta)  # -mu^2 (2 pi hbar / (m l^2)) t + i beta
     want = theta_char(ThetaArgs(0.5, 0.5, x, tau)) / math.sqrt(norm_constant(state))
     assert abs(psi(x, t, state) - want) <= 1e-10 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize(
+    "a,b,z,kappa",
+    [(0.5, 0.5, -0.5, 0.1), (0.0, 0.0, 0.3, 0.2), (0.5, 0.0, 0.1, 1.0), (0.25, 0.5, 0.37, 2e-3), (0.0, 0.5, 0.0, 1e-6)],
+)
+def test_theta_dual_matches_direct_series(a, b, z, kappa):
+    """Poisson summation at imaginary tau and real z against the direct sum; 1e-14 of sum |term|."""
+    args = ThetaArgs(a, b, z, 1j * kappa)
+    scale = sum(math.exp(-math.pi * kappa * (k + a) ** 2) for k in range(-4000, 4001))
+    assert abs(theta_dual(args) - theta_char(args)) <= 1e-14 * scale
+    with pytest.raises(ValueError):
+        theta_dual(ThetaArgs(a, b, z, 0.1 + 1j * kappa))
+    with pytest.raises(ValueError):
+        theta_dual(ThetaArgs(a, b, z + 0.1j, 1j * kappa))
