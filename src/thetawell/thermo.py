@@ -355,7 +355,8 @@ def avg_energy_profile(
     """
     fbar = np.asarray(averaged_density(x, state, sys, trunc))
     gp = gibbs_params(state, sys)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero or subnormal averaged density divides to inf or overflows: pole-tagged below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         val = mean_energy_gibbs(gp, state, trunc) / (sys.l * fbar)
     return tagged(val, fbar >= DENSITY_FLOOR / sys.l, FieldTag.POLE)
 

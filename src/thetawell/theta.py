@@ -14,6 +14,11 @@ z = m + n*tau.  (The opposite overall sign also appears in the literature; it
 cancels in every squared-modulus quantity, but a single convention is applied
 consistently here and callers that need the raw positive series use
 ``theta_char`` directly.)
+
+The two are independent routes: ``theta_char`` sums the series directly,
+K ~ Im(tau)^(-1/2) terms, and ``theta1`` maps tau by SL(2, Z) to
+Im(tau') >= sqrt(3)/2 and sums a handful.  ``psi`` evaluates ``theta1`` at
+small beta; the tests and the benchmark keep ``theta_char`` as its oracle.
 """
 
 from __future__ import annotations
@@ -128,12 +133,100 @@ def theta_dual(args: ThetaArgs, trunc: Truncation = DEFAULT_TRUNCATION) -> compl
     return complex(np.sum(terms)) / math.sqrt(kappa)
 
 
-def theta1(z: complex, tau: complex, trunc: Truncation = DEFAULT_TRUNCATION) -> complex:
-    """Odd theta function, theta1(z, tau) = -theta[1/2, 1/2](z, tau).
+def _modular_word(tau: complex) -> tuple[int, int, int, int, int, int, float]:
+    """Integers of the SL(2, Z) map that takes tau to |Re| <= 1/2, |tau'| >= 1.
 
-    Odd in z, with zeros at z = m + n*tau for integer m, n.
+    Shifts tau by round(Re tau) and inverts while |tau| < 1, in floats; the
+    floats only choose the integers.  Returns (a, b, c, d) with
+    tau' = (a tau + b)/(c tau + d), the shifts' total n (theta1 gains
+    exp(i pi n / 4) per unit shift), the number of inversions and the sum of
+    arg(-i tau_k) over the values tau_k inverted, which fixes the branch of
+    the square roots they contribute.
     """
-    return -theta_char(ThetaArgs(0.5, 0.5, z, tau), trunc)
+    a, b, c, d = 1, 0, 0, 1
+    shifts = inversions = 0
+    arg_sum = 0.0
+    while True:
+        n = round(tau.real)
+        tau -= n
+        a, b = a - n * c, b - n * d
+        shifts += n
+        if abs(tau) >= 1.0:
+            return a, b, c, d, shifts, inversions, arg_sum
+        arg_sum += math.atan2(-tau.real, tau.imag)  # arg(-i tau)
+        inversions += 1
+        tau = -1.0 / tau
+        a, b, c, d = -c, -d, a, b
+
+
+_MINUS_I_POWERS = (1.0, -1j, -1.0, 1j)
+
+
+def theta1(z: complex, tau: complex, trunc: Truncation = DEFAULT_TRUNCATION) -> complex:
+    """Odd theta function, theta1(z, tau) = -theta[1/2, 1/2](z, tau), by SL(2, Z) reduction.
+
+    Odd in z, with zeros at z = m + n*tau for integer m, n.  With
+    gamma = (a, b; c, d) from ``_modular_word``, D = c tau + d,
+    tau' = gamma tau (Im tau' >= sqrt(3)/2) and the half-integers j,
+
+        theta1(z, tau) = D^(-1/2) sum_j exp(pi i tau' nu_j^2 + i phi_j),
+        nu_j = j - c z,   phi_j = pi (2 a j z - a c z^2 + j + n/4 + k/2 + 1),
+
+    where n and k count the shifts and inversions: the transformation law
+    theta1(z/D, tau') = eps(gamma) D^(1/2) exp(pi i c z^2 / D) theta1(z, tau)
+    with its Gaussian prefactor folded into each term.  The terms decay like
+    exp(-pi Im(tau') (j - j*)^2), so a handful of j about the weight center
+    j* (c Re z for real z) reach ``trunc.tol``: choosing that window is the
+    quasi-periodic reduction of z.  Where the direct series needs
+    K ~ Im(tau)^(-1/2) terms, this costs a few loop steps and about eight terms.
+
+    Every large quantity is exact: c Re(tau) + d, a Re(tau) + b and nu_j are
+    computed in integers from the doubles' integer ratios and rounded once,
+    and phi_j is reduced mod 2 pi in integers for real z.  So the result is
+    accurate at the given double tau, however close Re(tau) lies to a
+    rational with small denominator, where cancelling shifts in floats would
+    lose 1e-13 relative each.  The Im z terms of phi_j are taken in floats.
+    """
+    z, tau = complex(z), complex(tau)
+    if not tau.imag > 0.0:
+        raise ValueError(f"Im(tau) must be positive, got tau={tau!r}")
+    x, y, sigma, beta = z.real, z.imag, tau.real, tau.imag
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(sigma) and math.isfinite(beta)):
+        return complex(math.nan, math.nan)
+    a, b, c, d, shifts, inversions, arg_sum = _modular_word(tau)
+    s_num, s_den = sigma.as_integer_ratio()
+    delta = (c * s_num + d * s_den) / s_den  # Re D, rounded once
+    c_beta = c * beta
+    # D^(-1/2) on the branch the inversions compose: the product of the -i tau_k
+    # is w = (-i)^k D, and arg_sum picks arg(w) mod 4 pi
+    w = complex(delta, c_beta) * _MINUS_I_POWERS[inversions % 4]
+    arg = math.atan2(w.imag, w.real)
+    arg += 2.0 * math.pi * round((arg_sum - arg) / (2.0 * math.pi))
+    inv_root = abs(w) ** -0.5 * complex(math.cos(arg / 2.0), -math.sin(arg / 2.0))
+    abs2 = delta * delta + c_beta * c_beta
+    tau_re = ((a * s_num + b * s_den) / s_den * delta + a * c_beta * beta) / abs2
+    tau_im = beta / abs2
+    # phi_j / pi in units of 1/(4 q^2) for x = p/q and m = 2j: m u + v, mod 8 q^2
+    p, q = x.as_integer_ratio()
+    q2 = q * q
+    u = 4 * a * p * q + 2 * q2
+    v = (shifts + 2 * inversions + 4) * q2 - 4 * a * c * p * p
+    center = c * x + y * (c * tau_re - a) / tau_im
+    reach = math.sqrt(math.log(1.0 / trunc.tol) / (math.pi * tau_im))
+    ipi_tau = complex(-math.pi * tau_im, math.pi * tau_re)
+    first = 2 * math.ceil(center - reach - 0.5) + 1  # odd m = 2j with |j - center| <= reach
+    last = 2 * math.floor(center + reach - 0.5) + 1
+    re = im = 0.0
+    for m in range(first, last + 1, 2):
+        nu = complex((m * q - 2 * c * p) / (2 * q), -c * y)
+        g = ipi_tau * nu * nu
+        if y:
+            g += complex(-2.0 * math.pi * a * y * nu.real, math.pi * a * c * y * y)
+        ang = g.imag + math.pi * (((m * u + v) % (8 * q2)) / (4 * q2))
+        size = math.exp(g.real)
+        re += size * math.cos(ang)
+        im += size * math.sin(ang)
+    return complex(re, im) * inv_root
 
 
 def heat_identity_residual(

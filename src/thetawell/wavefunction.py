@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import DEFAULT_TRUNCATION, Truncation, cutoff_for
+from .theta import theta1
 
 __all__ = [
     "SystemParams",
@@ -454,6 +455,30 @@ def _point_constants(state: QuantumState, sys: SystemParams, trunc: Truncation):
     return half_m, quarter_m2, weights[0], w_scale, math.sqrt(sys.l * scaled_norm_sum(state, trunc))
 
 
+# psi evaluates theta1 by SL(2, Z) reduction (a few terms per point) at and
+# below this beta and the order-0 jet (K + 1 ~ beta^(-1/2) modes) above it:
+# where per point a 64x16 grid of jet sums and theta1 cost about the same
+# (the grid wins at 3e-5, theta1 at 1e-5; scalar jet calls cost more)
+_THETA1_MAX_BETA = 2e-5
+
+
+@functools.lru_cache(maxsize=64)
+def _theta1_constants(state: QuantumState, sys: SystemParams, trunc: Truncation):
+    """Per-state constants of psi's theta1 route: the tau rate, and -exp(pi beta/4) over the norm's root."""
+    rate = state.mu**2 * (2.0 * math.pi * sys.hbar / (sys.m * sys.l**2))
+    root = math.sqrt(sys.l * scaled_norm_sum(state, trunc))
+    return rate, -math.exp(math.pi * state.beta / 4.0) / root
+
+
+def _theta1_point(
+    x: float, t: float, state: QuantumState, sys: SystemParams, trunc: Truncation
+) -> complex:
+    """psi at one in-well point: -theta1(mu x/l, tau(t)) exp(pi beta/4)/sqrt(l * scaled_norm_sum)."""
+    rate, scale = _theta1_constants(state, sys, trunc)
+    value = theta1(state.mu * x / sys.l, complex(-(rate * t), state.beta), trunc)
+    return complex(value.real * scale, value.imag * scale)
+
+
 def _unbox(val):
     """A float for a 0-d result, the array otherwise."""
     if np.ndim(val) == 0:
@@ -470,13 +495,26 @@ def psi(
 ):
     """The wavefunction at (x, t), normalized so the probability on [0, l] is 1.
 
-    The order-0 ``psi_jet`` over the square root of l * scaled_norm_sum, part
-    by part (a complex array division rounds otherwise).  Boundary
-    evaluations return the raw series value, which cancels to the truncation
-    floor rather than being forced to exactly 0.  Broadcasts over x and t.
-    A float x and t (``np.float64`` too) skip the grid machinery: one cached
-    lookup and one ``_order0_sums`` call on the mode rows, with the same bits.
+    Two routes, chosen by beta alone.  For beta <= ``_THETA1_MAX_BETA`` each
+    point is -theta1(mu x/l, tau(t)) from ``theta.theta1`` (SL(2, Z)
+    reduction, a few terms whatever beta), times exp(pi beta/4) over the
+    square root of l * scaled_norm_sum; floats and arrays take the same
+    per-point call, so a grid equals per-point calls bit for bit.  Above it,
+    the order-0 ``psi_jet`` over that square root, part by part (a complex
+    array division rounds otherwise); there a float x and t (``np.float64``
+    too) skip the grid machinery: one cached lookup and one ``_order0_sums``
+    call on the mode rows, with the same bits.  Boundary evaluations return
+    the raw series value, which cancels to the truncation floor rather than
+    being forced to exactly 0.  Broadcasts over x and t.
     """
+    if state.beta <= _THETA1_MAX_BETA:
+        _check_domain(x, sys)
+        if isinstance(x, float) and isinstance(t, float):
+            return _theta1_point(x, t, state, sys, trunc)
+        xs, ts = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+        points = zip(xs.ravel().tolist(), ts.ravel().tolist())
+        out = np.array([_theta1_point(*point, state, sys, trunc) for point in points], dtype=complex)
+        return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
     if isinstance(x, float) and isinstance(t, float):
         _check_domain(x, sys)
         half_m, quarter_m2, w0, w_scale, root = _point_constants(state, sys, trunc)

@@ -74,7 +74,13 @@ point_cases = given(
 )
 
 
-@point_cases
+@given(
+    beta=st.sampled_from(BETAS + (1e-6,)),  # 1e-6: psi's per-point theta1 route
+    mu=st.sampled_from((1, 2, 3)),
+    sys=st.sampled_from(SYSTEMS),
+    x_fracs=fractions,
+    t_fracs=fractions,
+)
 @settings(max_examples=25, deadline=None)
 def test_psi_grid_equals_points(beta, mu, sys, x_fracs, t_fracs):
     state = QuantumState(mu, beta)

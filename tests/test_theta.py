@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from thetawell.numerics import Truncation
 from thetawell.theta import ThetaArgs, heat_identity_residual, theta1, theta_char, theta_dual
 from thetawell.wavefunction import (
+    _THETA1_MAX_BETA,
     NATURAL_UNITS,
     QuantumState,
     SystemParams,
@@ -226,12 +227,14 @@ def test_theta_char_phase_exact_at_small_beta(beta):
 
 # benchmark beta-ladder points at beta = 1e-6 (seed/point 31/508, 3/799,
 # 14/776, 74/130), where the theta_char route was 1.0e-10 to 1.5e-10 off psi
-# while its phases were rounded directly
+# while its phases were rounded directly, and 155/756, where psi was 1.29e-10
+# off theta_char while psi summed K + 1 = 3204 modes with rounded phases
 LADDER_POINTS = [
     (0.7654391394445995, 0.13181156346475434),
     (0.6405632077852829, 0.13795649156842602),
     (0.9285315210737813, 0.14997973457114322),
     (0.16155134450624553, 0.153851712151373),
+    (0.681998329199621, 0.154056431361218),
 ]
 
 
@@ -241,6 +244,97 @@ def test_psi_matches_theta_char_at_small_beta(x, t):
     tau = complex(-2.0 * math.pi * t, state.beta)  # -mu^2 (2 pi hbar / (m l^2)) t + i beta
     want = theta_char(ThetaArgs(0.5, 0.5, x, tau)) / math.sqrt(norm_constant(state))
     assert abs(psi(x, t, state) - want) <= 1e-10 * max(1.0, abs(want))
+
+
+_FIX = 160  # fixed-point bits of the reference sum
+
+
+def _fixed(value) -> int:
+    return int(mpmath.nint(value * mpmath.mpf(2) ** _FIX))
+
+
+def hp_theta1(z: float, tau: complex) -> complex:
+    """theta1(z, tau) = -theta[1/2, 1/2](z, tau) at real z, a direct sum to about 45 digits.
+
+    The terms of k and -k-1 pair to 2 exp(i pi tau j^2) cos(2 pi (z + 1/2) j)
+    with j = k + 1/2.  mpmath gives exp(i pi tau / 4), exp(2 pi i tau),
+    cos(pi (z + 1/2)) and cos(2 pi (z + 1/2)) at these doubles to 60 digits;
+    the terms follow by their exact ratios, exp(2 pi i tau (k + 1)) and the
+    Chebyshev recurrence of cos((2k + 1) pi (z + 1/2)), in 160-bit integer
+    fixed point, until exp(-pi Im(tau) j^2) < 1e-22.  Nothing is shared with
+    ``theta1`` or ``theta_char``: no modular map, no phase reduction.
+    """
+    with mpmath.workdps(60):
+        tau_mp, ang = mpmath.mpc(tau), mpmath.pi * (mpmath.mpf(z) + 0.5)
+        lead = mpmath.exp(1j * mpmath.pi * tau_mp / 4)
+        step = mpmath.exp(2j * mpmath.pi * tau_mp)
+        a_re, a_im = _fixed(lead.real), _fixed(lead.imag)
+        q_re, q_im = _fixed(step.real), _fixed(step.imag)
+        c_prev = c_now = _fixed(mpmath.cos(ang))
+        c_step = _fixed(2 * mpmath.cos(2 * ang))
+    b_re, b_im = q_re, q_im
+    s_re = s_im = 0
+    for _ in range(math.ceil(math.sqrt(22.0 * math.log(10.0) / (math.pi * tau.imag))) + 1):
+        s_re += a_re * c_now
+        s_im += a_im * c_now
+        a_re, a_im = (a_re * b_re - a_im * b_im) >> _FIX, (a_re * b_im + a_im * b_re) >> _FIX
+        b_re, b_im = (b_re * q_re - b_im * q_im) >> _FIX, (b_re * q_im + b_im * q_re) >> _FIX
+        c_prev, c_now = c_now, ((c_step * c_now) >> _FIX) - c_prev
+    return complex(-s_re / 2 ** (2 * _FIX - 1), -s_im / 2 ** (2 * _FIX - 1))
+
+
+def well_theta_args(x: float, t: float, state: QuantumState, sys: SystemParams):
+    """z = mu x / l and tau = -mu^2 (2 pi hbar / (m l^2)) t + i beta, the doubles psi evaluates."""
+    rate = state.mu**2 * (2.0 * math.pi * sys.hbar / (sys.m * sys.l**2))
+    return state.mu * x / sys.l, complex(-(rate * t), state.beta)
+
+
+def test_reference_sum_matches_mpmath_jtheta():
+    # jtheta(1, pi z, q) is theta1 for -1 < Re(tau) <= 1, where q^(1/4) = exp(i pi tau / 4)
+    for z, tau in [(0.37, complex(-0.3, 0.05)), (1.61, complex(0.9, 0.01)), (0.0, 0.2j)]:
+        with mpmath.workdps(40):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            want = complex(mpmath.jtheta(1, mpmath.pi * z, q))
+        assert abs(hp_theta1(z, tau) - want) <= 1e-15 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("x,t", LADDER_POINTS)
+def test_psi_matches_high_precision_sum_at_ladder_points(x, t):
+    """psi within 1e-12 max(1, |psi|) of the reference sum at the ladder points; tolerance fixed in advance."""
+    state = QuantumState(1, 1e-6)
+    z, tau = well_theta_args(x, t, state, NATURAL_UNITS)
+    want = -hp_theta1(z, tau) / math.sqrt(norm_constant(state))
+    assert abs(psi(x, t, state) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("beta", [1e-2, 1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("mu", [1, 3])
+@pytest.mark.parametrize(
+    "sys", [NATURAL_UNITS, SystemParams(m=1.3, l=0.8, hbar=0.9)], ids=["natural", "scaled"]
+)
+def test_theta1_reduction_matches_high_precision_sum(beta, mu, sys):
+    """theta1 against the reference sum at psi's arguments; 1e-12 max(1, |psi|), fixed in advance.
+
+    In units of psi, i.e. times exp(pi beta/4)/sqrt(l * scaled_norm_sum), at
+    the walls, the nodes x = k l/mu and three interior points (one the
+    first antinode, where psi peaks at t = 0), over t/T_mu near and away
+    from the rationals of small denominator (0, 1/2 +- 1e-3, 0.99) and late
+    or negative (7.37, 100.37, -0.42).  Below the switch beta, psi is this
+    route, and it is checked the same way.
+    """
+    state = QuantumState(mu, beta)
+    scale = 1.0 / math.sqrt(norm_constant(state, sys))
+    t_mu = derived_scales(state, sys).T_mu
+    x_fracs = [0.0, 1.0, 0.137, 0.5 / mu, 0.861] + [k / mu for k in range(1, mu)]
+    for t_frac in [0.0, 0.37, 0.5 - 1e-3, 0.5 + 1e-3, 0.99, 7.37, 100.37, -0.42]:
+        t = t_frac * t_mu
+        for x in [f * sys.l for f in x_fracs]:
+            z, tau = well_theta_args(x, t, state, sys)
+            want = hp_theta1(z, tau) * scale
+            tol = 1e-12 * max(1.0, abs(want))
+            assert abs(theta1(z, tau) * scale - want) <= tol, (x, t_frac)
+            if beta <= _THETA1_MAX_BETA:
+                assert abs(psi(x, t, state, sys) + want) <= tol, (x, t_frac)
 
 
 @pytest.mark.parametrize(

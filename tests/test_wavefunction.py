@@ -13,6 +13,7 @@ from thetawell.density import density
 from thetawell.numerics import DEFAULT_TRUNCATION, Truncation, integrate
 from thetawell.theta import ThetaArgs, theta_char
 from thetawell.wavefunction import (
+    _THETA1_MAX_BETA,
     NATURAL_UNITS,
     QuantumState,
     SystemParams,
@@ -271,8 +272,14 @@ def reference_jet0(x, t, state, sys):
 @pytest.mark.parametrize("mu", [1, 3])
 @pytest.mark.parametrize("sys", SYSTEMS, ids=["natural", "scaled"])
 def test_order0_matches_four_transcendental_reference(beta, mu, sys):
-    """psi_jet(order=0), psi and density equal the reference bit for bit, on grids and points."""
+    """psi_jet(order=0), psi and density equal the reference bit for bit, on grids and points.
+
+    psi only above ``_THETA1_MAX_BETA``: below it psi is theta1 by SL(2, Z)
+    reduction, a different route that ``test_theta.py`` pins against a
+    high-precision sum instead.
+    """
     state = QuantumState(mu, beta)
+    on_jet = beta > _THETA1_MAX_BETA
     t_mu = derived_scales(state, sys).T_mu
     xs = np.array([0.0, 0.137, 0.5, 0.861, 1.0]) * sys.l
     ts = np.array([0.0, -0.42, 0.31, 7.37]) * t_mu
@@ -284,12 +291,14 @@ def test_order0_matches_four_transcendental_reference(beta, mu, sys):
     want_density = (want.real * want.real + want.imag * want.imag) / norm
 
     _assert_same_bits(psi_jet(xs[:, None], ts[None, :], state, sys)[0], want)
-    _assert_same_bits(psi(xs[:, None], ts[None, :], state, sys), want_psi)
+    if on_jet:
+        _assert_same_bits(psi(xs[:, None], ts[None, :], state, sys), want_psi)
     _assert_same_bits(density(xs[:, None], ts[None, :], state, sys), want_density)
     for i, x in enumerate(xs.tolist()):
         for j, t in enumerate(ts.tolist()):
             _assert_same_bits(psi_jet(x, t, state, sys)[0], want[i, j])
-            _assert_same_bits(psi(x, t, state, sys), want_psi[i, j])
+            if on_jet:
+                _assert_same_bits(psi(x, t, state, sys), want_psi[i, j])
             _assert_same_bits(density(x, t, state, sys), want_density[i, j])
 
 
