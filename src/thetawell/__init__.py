@@ -14,11 +14,9 @@ quadrature or finite differences.
 """
 
 from .density import (
-    Characteristic,
     averaged_density,
     density,
     density_derivatives,
-    g_phase,
     period,
     stationary_density,
 )
@@ -30,7 +28,6 @@ from .numerics import (
     Truncation,
     TruncationOverflowError,
     cutoff_for,
-    finite_diff,
     integrate,
 )
 from .phase_space import (
@@ -50,20 +47,18 @@ from .phase_space import (
 )
 from .thermo import (
     GibbsParams,
-    WaveNumberMode,
     avg_energy_profile,
     double_avg_energy,
     entropy,
     entropy_from_factor,
     gibbs_params,
-    gibbs_weights,
     mean_energy_gibbs,
     partition,
     partition_theta_form,
     quantum_potential,
     quantum_potential_gradient,
 )
-from .theta import ThetaArgs, heat_identity_residual, theta1, theta_char
+from .theta import ThetaArgs, theta1, theta_char
 from .verification import CHECK_NAMES, CheckResult, run_all_checks, run_check
 from .wavefunction import (
     NATURAL_UNITS,
@@ -80,7 +75,6 @@ from .wavefunction import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Characteristic",
     "CheckResult",
     "CHECK_NAMES",
     "DEFAULT_TRUNCATION",
@@ -97,7 +91,6 @@ __all__ = [
     "ThetaArgs",
     "Truncation",
     "TruncationOverflowError",
-    "WaveNumberMode",
     "WignerAtom",
     "WignerComb",
     "averaged_density",
@@ -109,12 +102,8 @@ __all__ = [
     "double_avg_energy",
     "entropy",
     "entropy_from_factor",
-    "finite_diff",
     "flux",
-    "g_phase",
     "gibbs_params",
-    "gibbs_weights",
-    "heat_identity_residual",
     "integrate",
     "kinetic_energy_density",
     "mean_energy_gibbs",

@@ -1,8 +1,10 @@
-"""Probability density of the well state, its characteristics, and time averages.
+"""Probability density of the well state, its derivatives, and time averages.
 
 The squared modulus of the wavefunction is a double series over odd-harmonic
 pairs; each term is constant along a straight characteristic line in the
-(x, t) plane and the whole field is periodic with the level period T_mu.
+(x, t) plane (row s of ``series.comb_rows``, moving at P_s/m; the registry's
+comb-transport check follows it) and the whole field is periodic with the
+level period T_mu.
 Averaging over one period leaves the Gaussian-weighted stationary profile
 ``averaged_density``, which collapses onto the single-mode profile
 ``stationary_density`` as beta grows and flattens toward the uniform mixture
@@ -13,7 +15,6 @@ that forms as beta shrinks belongs to the instantaneous ``density``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .wavefunction import (
     QuantumState,
     SystemParams,
     _check_domain,
-    _phase_coords,
     _unbox,
     derived_scales,
     jet_forms,
@@ -31,60 +31,12 @@ from .wavefunction import (
 )
 
 __all__ = [
-    "Characteristic",
-    "g_phase",
     "density",
     "density_derivatives",
     "stationary_density",
     "averaged_density",
     "period",
 ]
-
-
-@dataclass(frozen=True)
-class Characteristic:
-    """Straight line traced by one density term, labeled by its harmonic pair (n, k).
-
-    ``angle_tan`` is the ridge slope (n+k+1)/(2*mu) in the (x/l, t/T_mu)
-    plane; terms with n + k + 1 = 0 are stationary.
-    """
-
-    n: int
-    k: int
-    mu: int
-
-    def __post_init__(self) -> None:
-        for name in ("n", "k"):
-            v = getattr(self, name)
-            if int(v) != v:
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if int(self.mu) != self.mu or self.mu < 1:
-            raise ValueError(f"mu must be a positive integer, got {self.mu!r}")
-
-    @property
-    def angle_tan(self) -> float:
-        return (self.n + self.k + 1) / (2.0 * self.mu)
-
-    def speed(self, sys: SystemParams = NATURAL_UNITS) -> float:
-        """Transport speed dx/dt of the term's phase, (n+k+1) * pi*hbar*mu/(m*l)."""
-        return (self.n + self.k + 1) * math.pi * sys.hbar * self.mu / (sys.m * sys.l)
-
-
-def g_phase(
-    n: int,
-    k: int,
-    x,
-    t,
-    state: QuantumState,
-    sys: SystemParams = NATURAL_UNITS,
-):
-    """Characteristic phase pi*(2*mu*x/l + 1) - (pi*t/T_mu)*(n + k + 1), in radians.
-
-    Exact affine function of (x, t); broadcasts over array arguments.  The
-    same angle u - s*w that ``series.comb_rows`` evaluates for row s.
-    """
-    u, w, shape = _phase_coords(x, t, state, sys)
-    return _unbox((u - (n + k + 1) * w).reshape(shape))
 
 
 def density(

@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_TRUNCATION",
     "cutoff_for",
     "integrate",
-    "finite_diff",
 ]
 
 
@@ -109,7 +108,7 @@ def tagged(value, defined, undefined_tag: FieldTag) -> FieldSample:
     return FieldSample(value, tags)
 
 
-def _satisfies_tail_bound(k: int, beta: float, tol: float) -> bool:
+def _satisfies_tail_bound(k, beta, tol):
     # exp(-(pi*beta/4)(2k+1)^2) <= tol * exp(-pi*beta/2), compared in logs
     return math.pi * beta / 4.0 * (2 * k + 1) ** 2 >= math.pi * beta / 2.0 + math.log(1.0 / tol)
 
@@ -120,54 +119,46 @@ def cutoff_for(beta, trunc: Truncation = DEFAULT_TRUNCATION):
     The governing weights are exp(-(pi*beta/4)(2k+1)^2); the returned K is the
     smallest integer with exp(-(pi*beta/4)(2K+1)^2) <= tol * exp(-pi*beta/2),
     i.e. (2K+1)^2 >= 2 + (4/(pi*beta)) ln(1/tol).  Monotone: smaller beta or
-    smaller tol never shrink K.  An array of beta gives an integer array of
-    the same shape, the scalar K per element (``_cutoff_array``).
+    smaller tol never shrink K.  A float gives an int; an array of beta gives
+    an integer array of the same shape, each element's K (``_cutoff_array``).
     """
     if np.ndim(beta):
         return _cutoff_array(beta, trunc)
-    if not (beta > 0.0) or not math.isfinite(beta):
-        raise ValueError(f"beta must be a positive finite number, got {beta!r}")
-    rhs = 2.0 + 4.0 * math.log(1.0 / trunc.tol) / (math.pi * beta)
-    k = max(1, math.ceil((math.sqrt(rhs) - 1.0) / 2.0))
-    # the closed form can be off by one ulp either way; settle it exactly,
-    # unless it is past twice the cap: then it fails anyway, and at huge k
-    # (beta ~ 1e-100) k and k - 1 round to the same float and never settle
-    if k <= 2 * trunc.max_index:
-        while k > 1 and _satisfies_tail_bound(k - 1, beta, trunc.tol):
-            k -= 1
-        while not _satisfies_tail_bound(k, beta, trunc.tol):
-            k += 1
-    if k > trunc.max_index:
-        raise TruncationOverflowError(
-            f"truncation overflow: required cutoff {k} exceeds max_index "
-            f"{trunc.max_index} (beta={beta}, tol={trunc.tol})"
-        )
-    return k
+    return int(_cutoff_array(beta, trunc))
 
 
 def _cutoff_array(beta, trunc: Truncation = DEFAULT_TRUNCATION) -> np.ndarray:
-    """``cutoff_for`` over an array of beta: the same closed form and exact settling per element.
+    """``cutoff_for`` over an array of beta, 0-d too: one closed form, settled exactly per element.
 
-    Raises what the scalar raises for the first offending element, with its
-    message.
+    Raises for the first bad or overflowing element, naming its beta (a 0-d
+    input as the caller gave it).
     """
-    beta = np.asarray(beta, dtype=float)
-    bad = ~((beta > 0.0) & np.isfinite(beta))
+    b = np.asarray(beta, dtype=float)[()]  # 0-d as a numpy scalar: cheaper arithmetic
+    bad = ~((b > 0.0) & np.isfinite(b))
     if bad.any():
-        cutoff_for(float(beta[bad][0]), trunc)  # raises the scalar ValueError
-    rhs = 2.0 + 4.0 * math.log(1.0 / trunc.tol) / (math.pi * beta)
-    # clipped past twice the cap, where the scalar stops settling: such
-    # elements fail anyway, and the integers cannot overflow
+        got = beta if b.ndim == 0 else float(b[bad][0])
+        raise ValueError(f"beta must be a positive finite number, got {got!r}")
+    rhs = 2.0 + 4.0 * math.log(1.0 / trunc.tol) / (math.pi * b)
+    closed = np.maximum(np.ceil((np.sqrt(rhs) - 1.0) / 2.0), 1.0)
+    # the closed form can be off by one ulp either way; settle it exactly,
+    # unless it is past twice the cap: then it fails anyway, and at huge k
+    # (beta ~ 1e-100) k and k - 1 round to the same float and never settle;
+    # clipped there, so the integers cannot overflow
     cap = 2 * trunc.max_index
-    k = np.clip(np.ceil((np.sqrt(rhs) - 1.0) / 2.0), 1, cap + 1).astype(np.int64)
-    # _satisfies_tail_bound is elementwise as written, in the same arithmetic
-    while (down := (k > 1) & (k <= cap) & _satisfies_tail_bound(k - 1, beta, trunc.tol)).any():
+    k = np.minimum(closed, cap + 1).astype(np.int64)
+    # _satisfies_tail_bound is elementwise as written
+    while (down := (k > 1) & (k <= cap) & _satisfies_tail_bound(k - 1, b, trunc.tol)).any():
         k -= down
-    while (up := (k <= cap) & ~_satisfies_tail_bound(k, beta, trunc.tol)).any():
+    while (up := (k <= cap) & ~_satisfies_tail_bound(k, b, trunc.tol)).any():
         k += up
     over = k > trunc.max_index
     if over.any():
-        cutoff_for(float(beta[over][0]), trunc)  # raises the scalar TruncationOverflowError
+        need = int(np.where(closed > cap, closed, k)[over][0])
+        got = beta if b.ndim == 0 else float(b[over][0])
+        raise TruncationOverflowError(
+            f"truncation overflow: required cutoff {need} exceeds max_index "
+            f"{trunc.max_index} (beta={got}, tol={trunc.tol})"
+        )
     return k
 
 
@@ -197,23 +188,3 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, n_panel
     weights[0] = weights[-1] = 1.0
     total = np.add.reduce(y * weights, axis=-1) * h / 3.0
     return float(total) if total.ndim == 0 else total
-
-
-def finite_diff(f: Callable[[float], float], x: float, order: int, h: float) -> float:
-    """Central finite difference of derivative ``order`` (1 or 2), accuracy O(h^2)."""
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    if not (h > 0.0):
-        raise ValueError(f"h must be positive, got {h}")
-    fp = float(f(x + h))
-    fm = float(f(x - h))
-    if order == 1:
-        samples = (fp, fm)
-        result = (fp - fm) / (2.0 * h)
-    else:
-        fc = float(f(x))
-        samples = (fp, fc, fm)
-        result = (fp - 2.0 * fc + fm) / (h * h)
-    if not all(math.isfinite(s) for s in samples):
-        raise ValueError(f"non-finite stencil sample near x={x!r}")
-    return result

@@ -47,11 +47,9 @@ from .wavefunction import (
 
 __all__ = [
     "GibbsParams",
-    "WaveNumberMode",
     "gibbs_params",
     "partition",
     "partition_theta_form",
-    "gibbs_weights",
     "gibbs_sums",
     "gibbs_table",
     "mean_energy_gibbs",
@@ -79,15 +77,6 @@ class GibbsParams:
             raise ValueError(f"beta_thermo must be positive and finite, got {self.beta_thermo!r}")
         if not math.isclose(self.tau_temp * self.beta_thermo, 1.0, rel_tol=1e-12):
             raise ValueError("tau_temp must be the reciprocal of beta_thermo")
-
-
-@dataclass(frozen=True)
-class WaveNumberMode:
-    """One Gibbs mode: index k, signed wave number kappa, mode energy E_kappa."""
-
-    k: int
-    kappa: float
-    E_kappa: float
 
 
 def gibbs_params(state: QuantumState, sys: SystemParams = NATURAL_UNITS) -> GibbsParams:
@@ -161,34 +150,6 @@ def partition_theta_form(
     if kappa <= 2.0 * _DUAL_MAX_BETA:
         return theta_dual(args, trunc).real
     return theta_char(args, trunc).real
-
-
-def gibbs_weights(
-    gp: GibbsParams,
-    state: QuantumState,
-    trunc: Truncation = DEFAULT_TRUNCATION,
-    sys: SystemParams = NATURAL_UNITS,
-) -> list[tuple[WaveNumberMode, float]]:
-    """Normalized Boltzmann weights over the signed mode list, center-out.
-
-    Modes come in pairs k and -k-1 with equal weight; the weights sum to 1 by
-    construction (each is scaled by the same leading factor as the partition
-    sum, so the ratio is stable at any beta).  ``sys`` enters only the
-    reported wave numbers kappa = (pi*mu/l)(2k+1).
-    """
-    e_mu = _base_energy(gp.beta_thermo, state.beta)
-    modes = mode_table(state.beta, trunc)
-    out: list[tuple[WaveNumberMode, float]] = []
-    for mm, ww in zip(modes.m, modes.w):
-        for k in (int((mm - 1) // 2), int(-(mm + 1) // 2)):
-            two_k1 = 2 * k + 1
-            mode = WaveNumberMode(
-                k=k,
-                kappa=math.pi * state.mu * two_k1 / sys.l,
-                E_kappa=e_mu * float(mm * mm),
-            )
-            out.append((mode, float(ww) / modes.norm))
-    return out
 
 
 def gibbs_sums(beta, trunc: Truncation = DEFAULT_TRUNCATION):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .numerics import DEFAULT_TRUNCATION, Truncation, cutoff_for
 
-__all__ = ["ThetaArgs", "theta_char", "theta_dual", "theta1", "heat_identity_residual"]
+__all__ = ["ThetaArgs", "theta_char", "theta_dual", "theta1"]
 
 _TWO_PI_I = 2j * math.pi
 _VELTKAMP = 134217729.0  # 2**27 + 1
@@ -227,28 +227,3 @@ def theta1(z: complex, tau: complex, trunc: Truncation = DEFAULT_TRUNCATION) -> 
         re += size * math.cos(ang)
         im += size * math.sin(ang)
     return complex(re, im) * inv_root
-
-
-def heat_identity_residual(
-    args: ThetaArgs, h: float, trunc: Truncation = DEFAULT_TRUNCATION
-) -> float:
-    """Finite-difference residual of the heat-kernel identity d2θ/dz2 = 4πi dθ/dτ.
-
-    The z second derivative uses a real central step h; the tau derivative
-    steps along the imaginary direction (holomorphy makes the direction
-    immaterial), which requires Im(tau) - h > 0 so every evaluation converges.
-    Residual shrinks as O(h^2) down to the series-truncation floor.
-    """
-    if not (h > 0.0):
-        raise ValueError(f"h must be positive, got {h}")
-    tau = complex(args.tau)
-    if not (tau.imag - h > 0.0):
-        raise ValueError(f"need Im(tau) - h > 0, got tau={tau!r}, h={h}")
-
-    def at(z: complex, t: complex) -> complex:
-        return theta_char(ThetaArgs(args.a, args.b, z, t), trunc)
-
-    z = complex(args.z)
-    d2z = (at(z + h, tau) - 2.0 * at(z, tau) + at(z - h, tau)) / (h * h)
-    dtau = (at(z, tau + 1j * h) - at(z, tau - 1j * h)) / (2j * h)
-    return abs(d2z - 4j * math.pi * dtau)

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import DEFAULT_TRUNCATION, Truncation, cutoff_for
-from .theta import theta1
+from .theta import ThetaArgs, theta1, theta_dual
 
 __all__ = [
     "SystemParams",
@@ -464,16 +464,21 @@ _THETA1_MAX_BETA = 2e-5
 
 @functools.lru_cache(maxsize=64)
 def _theta1_constants(state: QuantumState, sys: SystemParams, trunc: Truncation):
-    """Per-state constants of psi's theta1 route: the tau rate, and -exp(pi beta/4) over the norm's root."""
+    """Per-state constants of psi's theta1 route: the tau rate, and -1/sqrt(N).
+
+    N = l theta[1/2, 0](0, 2i beta) from ``theta_dual``, a few Poisson terms
+    where the mode sum would need K ~ beta^(-1/2) of them, so this route
+    needs no cutoff at any beta.
+    """
     rate = state.mu**2 * (2.0 * math.pi * sys.hbar / (sys.m * sys.l**2))
-    root = math.sqrt(sys.l * scaled_norm_sum(state, trunc))
-    return rate, -math.exp(math.pi * state.beta / 4.0) / root
+    norm = sys.l * theta_dual(ThetaArgs(0.5, 0.0, 0.0, 2j * state.beta), trunc).real
+    return rate, -1.0 / math.sqrt(norm)
 
 
 def _theta1_point(
     x: float, t: float, state: QuantumState, sys: SystemParams, trunc: Truncation
 ) -> complex:
-    """psi at one in-well point: -theta1(mu x/l, tau(t)) exp(pi beta/4)/sqrt(l * scaled_norm_sum)."""
+    """psi at one in-well point: -theta1(mu x/l, tau(t)) / sqrt(N)."""
     rate, scale = _theta1_constants(state, sys, trunc)
     value = theta1(state.mu * x / sys.l, complex(-(rate * t), state.beta), trunc)
     return complex(value.real * scale, value.imag * scale)
@@ -497,11 +502,12 @@ def psi(
 
     Two routes, chosen by beta alone.  For beta <= ``_THETA1_MAX_BETA`` each
     point is -theta1(mu x/l, tau(t)) from ``theta.theta1`` (SL(2, Z)
-    reduction, a few terms whatever beta), times exp(pi beta/4) over the
-    square root of l * scaled_norm_sum; floats and arrays take the same
-    per-point call, so a grid equals per-point calls bit for bit.  Above it,
-    the order-0 ``psi_jet`` over that square root, part by part (a complex
-    array division rounds otherwise); there a float x and t (``np.float64``
+    reduction, a few terms whatever beta) over the square root of N(beta)
+    from its Poisson dual (``theta.theta_dual``), so no cutoff is needed;
+    floats and arrays take the same per-point call, so a grid equals
+    per-point calls bit for bit.  Above it, the order-0 ``psi_jet`` over
+    the square root of l * scaled_norm_sum, part by part (a complex array
+    division rounds otherwise); there a float x and t (``np.float64``
     too) skip the grid machinery: one cached lookup and one ``_order0_sums``
     call on the mode rows, with the same bits.  Boundary evaluations return
     the raw series value, which cancels to the truncation floor rather than

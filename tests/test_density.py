@@ -8,15 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetawell.density import (
-    Characteristic,
     averaged_density,
     density,
     density_derivatives,
-    g_phase,
     period,
     stationary_density,
 )
-from thetawell.numerics import cutoff_for, finite_diff, integrate
+from thetawell.numerics import cutoff_for, integrate
 from thetawell.phase_space import flux, kinetic_energy_density, moments
 from thetawell.series import _comb_weights, build_table, comb_rows, folded_sum
 from thetawell.wavefunction import (
@@ -30,6 +28,8 @@ from thetawell.wavefunction import (
     psi_jet,
     scaled_norm_sum,
 )
+
+from stencils import finite_diff
 
 
 def brute_density(x, t, state, sys=NATURAL_UNITS, window=40):
@@ -143,36 +143,6 @@ def test_averaged_density_center_value_pinned():
     # every odd harmonic has sin^2 = 1 at the cell center, so the average is 2/l there
     for beta in (0.05, 0.5, 5.0):
         assert averaged_density(0.5, QuantumState(1, beta)) == pytest.approx(2.0, rel=1e-13)
-
-
-def test_characteristic_fields():
-    c = Characteristic(n=2, k=-1, mu=3)
-    assert c.angle_tan == pytest.approx((2 - 1 + 1) / 6.0)
-    assert c.speed(NATURAL_UNITS) == pytest.approx(2.0 * math.pi * 3 / 1.0 * 1.0)
-    with pytest.raises(ValueError):
-        Characteristic(n=0.5, k=0, mu=1)
-    with pytest.raises(ValueError):
-        Characteristic(n=0, k=0, mu=0)
-
-
-@given(
-    n=st.integers(min_value=-4, max_value=4),
-    k=st.integers(min_value=-4, max_value=4),
-    x=st.floats(min_value=0.0, max_value=0.9),
-    t=st.floats(min_value=0.0, max_value=0.1),
-    dt=st.floats(min_value=0.0, max_value=0.05),
-)
-@settings(max_examples=80, deadline=None)
-def test_phase_constant_along_characteristic(n, k, x, t, dt):
-    state = QuantumState(2, 0.5)
-    c = Characteristic(n=n, k=k, mu=state.mu)
-    v = c.speed(NATURAL_UNITS)
-    x2 = x + v * dt
-    if not 0.0 <= x2 <= 1.0:
-        return
-    g1 = g_phase(n, k, x, t, state)
-    g2 = g_phase(n, k, x2, t + dt, state)
-    assert g2 == pytest.approx(g1, abs=1e-9)
 
 
 def test_zero_speed_component_is_static():

@@ -16,11 +16,12 @@ from thetawell.numerics import (
     Truncation,
     TruncationOverflowError,
     cutoff_for,
-    finite_diff,
     integrate,
     tagged,
 )
 from thetawell.wavefunction import QuantumState
+
+from stencils import finite_diff
 
 
 def brute_cutoff(beta, tol):

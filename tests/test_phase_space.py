@@ -13,7 +13,6 @@ from thetawell.numerics import (
     FieldTag,
     Truncation,
     cutoff_for,
-    finite_diff,
     integrate,
 )
 from thetawell.phase_space import (
@@ -41,6 +40,8 @@ from thetawell.wavefunction import (
     derived_scales,
     jet_forms,
 )
+
+from stencils import finite_diff
 
 STATE = QuantumState(mu=1, beta=0.1)
 T = period(STATE)

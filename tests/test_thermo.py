@@ -19,14 +19,12 @@ from thetawell.thermo import (
     gibbs_params,
     gibbs_sums,
     gibbs_table,
-    gibbs_weights,
     mean_energy_gibbs,
     partition,
     partition_theta_form,
     quantum_potential,
     quantum_potential_gradient,
 )
-from thetawell.numerics import finite_diff
 from thetawell.phase_space import kinetic_energy_density
 from thetawell.wavefunction import (
     NATURAL_UNITS,
@@ -36,6 +34,8 @@ from thetawell.wavefunction import (
     mode_table,
     norm_constant,
 )
+
+from stencils import finite_diff
 
 L = NATURAL_UNITS.l
 
@@ -133,39 +133,29 @@ def test_partition_grows_as_beta_halves():
 # ---------------------------------------------------------------- weights
 
 
+def gibbs_mixture(state):
+    """Wave numbers kappa and normalized weights of every signed Gibbs mode, from ``mode_table``.
+
+    Mode k has kappa = (pi*mu/l)(2k+1); the harmonic m = 2k+1 > 0 and its
+    twin -m (k -> -k-1) share the weight w_m / norm.
+    """
+    modes = mode_table(state.beta)
+    kappa = math.pi * state.mu / L * np.concatenate([modes.m, -modes.m])
+    return kappa, np.concatenate([modes.w, modes.w]) / modes.norm
+
+
 @pytest.mark.parametrize("beta", [0.05, 0.3, 1.0, 5.0])
 def test_weights_sum_to_one(beta):
-    state = QuantumState(mu=1, beta=beta)
-    pairs = gibbs_weights(gp_of(state), state)
-    assert math.fsum(w for _, w in pairs) == pytest.approx(1.0, abs=1e-12)
-    assert all(w > 0.0 for _, w in pairs)
-
-
-def test_weights_pair_symmetry():
-    state = QuantumState(mu=2, beta=0.4)
-    by_k = {mode.k: (mode, w) for mode, w in gibbs_weights(gp_of(state), state)}
-    for k, (mode, w) in by_k.items():
-        twin_mode, twin_w = by_k[-k - 1]
-        assert twin_w == pytest.approx(w, rel=1e-15)
-        assert twin_mode.E_kappa == pytest.approx(mode.E_kappa, rel=1e-15)
-        assert twin_mode.kappa == pytest.approx(-mode.kappa, rel=1e-15)
-
-
-def test_weights_mode_fields():
-    state = QuantumState(mu=3, beta=0.6)
-    scales = derived_scales(state)
-    for mode, _ in gibbs_weights(gp_of(state), state):
-        two_k1 = 2 * mode.k + 1
-        assert mode.kappa == pytest.approx(math.pi * state.mu * two_k1 / L, rel=1e-15)
-        assert mode.E_kappa == pytest.approx(scales.E_mu * two_k1**2, rel=1e-15)
-        assert mode.E_kappa >= scales.E_mu - 1e-12
+    _, weights = gibbs_mixture(QuantumState(mu=1, beta=beta))
+    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(weights > 0.0)
 
 
 def test_weights_freeze_to_two_modes():
     state = QuantumState(mu=1, beta=20.0)
-    by_k = {mode.k: w for mode, w in gibbs_weights(gp_of(state), state)}
-    assert by_k[0] == pytest.approx(0.5, abs=1e-12)
-    assert by_k[-1] == pytest.approx(0.5, abs=1e-12)
+    kappa, weights = gibbs_mixture(state)
+    lowest = np.abs(kappa) == math.pi * state.mu / L  # k = 0 and k = -1
+    assert weights[lowest].tolist() == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
 @pytest.mark.parametrize("x", [0.13, 0.37, 0.5, 0.71])
@@ -173,8 +163,8 @@ def test_weights_reproduce_averaged_density(x):
     # the period average of the density is exactly the Gibbs average of the
     # stationary mode densities (2/l) sin^2(kappa x)
     state = QuantumState(mu=1, beta=0.25)
-    pairs = gibbs_weights(gp_of(state), state)
-    mix = (2.0 / L) * math.fsum(w * math.sin(mode.kappa * x) ** 2 for mode, w in pairs)
+    kappa, weights = gibbs_mixture(state)
+    mix = (2.0 / L) * math.fsum(weights * np.sin(kappa * x) ** 2)
     assert mix == pytest.approx(averaged_density(x, state), abs=1e-12)
 
 

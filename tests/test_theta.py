@@ -1,6 +1,7 @@
 """Jacobi theta evaluation: series correctness, zeros, parity, heat identity."""
 
 import cmath
+import functools
 import math
 
 import mpmath
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetawell.numerics import Truncation
-from thetawell.theta import ThetaArgs, heat_identity_residual, theta1, theta_char, theta_dual
+from thetawell.theta import ThetaArgs, _modular_word, theta1, theta_char, theta_dual
 from thetawell.wavefunction import (
     _THETA1_MAX_BETA,
     NATURAL_UNITS,
@@ -86,6 +87,26 @@ def test_tau_domain_enforced():
         ThetaArgs(0.5, 0.5, 0.0, 1.0 + 0.0j)
     with pytest.raises(ValueError):
         ThetaArgs(0.5, 0.5, 0.0, 0.3 - 0.2j)
+
+
+def heat_identity_residual(args: ThetaArgs, h: float, trunc: Truncation) -> float:
+    """Finite-difference residual of the heat-kernel identity d2θ/dz2 = 4πi dθ/dτ.
+
+    The z second derivative uses a real central step h; the tau derivative
+    steps along the imaginary direction (holomorphy makes the direction
+    immaterial), which requires Im(tau) - h > 0 so every evaluation converges.
+    Residual shrinks as O(h^2) down to the series-truncation floor.
+    """
+    tau = complex(args.tau)
+    assert h > 0.0 and tau.imag - h > 0.0, (tau, h)
+
+    def at(z: complex, t: complex) -> complex:
+        return theta_char(ThetaArgs(args.a, args.b, z, t), trunc)
+
+    z = complex(args.z)
+    d2z = (at(z + h, tau) - 2.0 * at(z, tau) + at(z - h, tau)) / (h * h)
+    dtau = (at(z, tau + 1j * h) - at(z, tau - 1j * h)) / (2j * h)
+    return abs(d2z - 4j * math.pi * dtau)
 
 
 @pytest.mark.parametrize("z,tau", [(0.13, 0.8j), (0.4 + 0.1j, 0.2 + 1.1j), (-0.7, 2.0j)])
@@ -253,34 +274,66 @@ def _fixed(value) -> int:
     return int(mpmath.nint(value * mpmath.mpf(2) ** _FIX))
 
 
-def hp_theta1(z: float, tau: complex) -> complex:
-    """theta1(z, tau) = -theta[1/2, 1/2](z, tau) at real z, a direct sum to about 45 digits.
+@functools.lru_cache(maxsize=2)
+def _lead_terms(tau: complex) -> tuple[tuple[int, int], ...]:
+    """exp(i pi tau j^2) for j = 1/2, 3/2, ... in 160-bit fixed point, until exp(-pi Im(tau) j^2) < 1e-22.
 
-    The terms of k and -k-1 pair to 2 exp(i pi tau j^2) cos(2 pi (z + 1/2) j)
-    with j = k + 1/2.  mpmath gives exp(i pi tau / 4), exp(2 pi i tau),
-    cos(pi (z + 1/2)) and cos(2 pi (z + 1/2)) at these doubles to 60 digits;
-    the terms follow by their exact ratios, exp(2 pi i tau (k + 1)) and the
-    Chebyshev recurrence of cos((2k + 1) pi (z + 1/2)), in 160-bit integer
-    fixed point, until exp(-pi Im(tau) j^2) < 1e-22.  Nothing is shared with
-    ``theta1`` or ``theta_char``: no modular map, no phase reduction.
+    mpmath gives exp(i pi tau / 4) and exp(2 pi i tau) at this double tau to
+    60 digits; each term follows from the last by the exact ratio
+    exp(2 pi i tau (k + 1)).  Shared by the z of one tau.
     """
     with mpmath.workdps(60):
-        tau_mp, ang = mpmath.mpc(tau), mpmath.pi * (mpmath.mpf(z) + 0.5)
+        tau_mp = mpmath.mpc(tau)
         lead = mpmath.exp(1j * mpmath.pi * tau_mp / 4)
         step = mpmath.exp(2j * mpmath.pi * tau_mp)
         a_re, a_im = _fixed(lead.real), _fixed(lead.imag)
         q_re, q_im = _fixed(step.real), _fixed(step.imag)
-        c_prev = c_now = _fixed(mpmath.cos(ang))
-        c_step = _fixed(2 * mpmath.cos(2 * ang))
     b_re, b_im = q_re, q_im
-    s_re = s_im = 0
+    terms = []
     for _ in range(math.ceil(math.sqrt(22.0 * math.log(10.0) / (math.pi * tau.imag))) + 1):
-        s_re += a_re * c_now
-        s_im += a_im * c_now
+        terms.append((a_re, a_im))
         a_re, a_im = (a_re * b_re - a_im * b_im) >> _FIX, (a_re * b_im + a_im * b_re) >> _FIX
         b_re, b_im = (b_re * q_re - b_im * q_im) >> _FIX, (b_re * q_im + b_im * q_re) >> _FIX
+    return tuple(terms)
+
+
+def hp_theta1(z: float, tau: complex) -> complex:
+    """theta1(z, tau) = -theta[1/2, 1/2](z, tau) at real z, a direct sum to about 45 digits.
+
+    The terms of k and -k-1 pair to 2 exp(i pi tau j^2) cos(2 pi (z + 1/2) j)
+    with j = k + 1/2: ``_lead_terms`` times the Chebyshev recurrence of
+    cos((2k + 1) pi (z + 1/2)), seeded by mpmath's cos(pi (z + 1/2)) and
+    cos(2 pi (z + 1/2)) at this double z to 60 digits, in 160-bit integer
+    fixed point.  Nothing is shared with ``theta1`` or ``theta_char``: no
+    modular map, no phase reduction.
+    """
+    with mpmath.workdps(60):
+        ang = mpmath.pi * (mpmath.mpf(z) + 0.5)
+        c_prev = c_now = _fixed(mpmath.cos(ang))
+        c_step = _fixed(2 * mpmath.cos(2 * ang))
+    s_re = s_im = 0
+    for a_re, a_im in _lead_terms(tau):
+        s_re += a_re * c_now
+        s_im += a_im * c_now
         c_prev, c_now = c_now, ((c_step * c_now) >> _FIX) - c_prev
     return complex(-s_re / 2 ** (2 * _FIX - 1), -s_im / 2 ** (2 * _FIX - 1))
+
+
+@functools.lru_cache(maxsize=None)
+def hp_norm_sum(beta: float) -> float:
+    """N(beta)/l = sum over all integers k of exp(-(pi beta/2)(2k+1)^2), summed directly to 40 digits.
+
+    The tests' reference normalization: ``norm_constant`` sums the modes up
+    to a cutoff, which overflows the index cap below beta of about 3e-7.
+    """
+    with mpmath.workdps(50):
+        q = mpmath.exp(-2 * mpmath.pi * mpmath.mpf(beta))  # the terms are q^(j^2), j = k + 1/2
+        term, ratio, total = q**0.25, q**2, mpmath.mpf(0)
+        while term > mpmath.mpf(10) ** -45:
+            total += term
+            term *= ratio
+            ratio *= q * q
+        return float(2 * total)
 
 
 def well_theta_args(x: float, t: float, state: QuantumState, sys: SystemParams):
@@ -307,7 +360,7 @@ def test_psi_matches_high_precision_sum_at_ladder_points(x, t):
     assert abs(psi(x, t, state) - want) <= 1e-12 * max(1.0, abs(want))
 
 
-@pytest.mark.parametrize("beta", [1e-2, 1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("beta", [1e-2, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
 @pytest.mark.parametrize("mu", [1, 3])
 @pytest.mark.parametrize(
     "sys", [NATURAL_UNITS, SystemParams(m=1.3, l=0.8, hbar=0.9)], ids=["natural", "scaled"]
@@ -315,15 +368,16 @@ def test_psi_matches_high_precision_sum_at_ladder_points(x, t):
 def test_theta1_reduction_matches_high_precision_sum(beta, mu, sys):
     """theta1 against the reference sum at psi's arguments; 1e-12 max(1, |psi|), fixed in advance.
 
-    In units of psi, i.e. times exp(pi beta/4)/sqrt(l * scaled_norm_sum), at
-    the walls, the nodes x = k l/mu and three interior points (one the
-    first antinode, where psi peaks at t = 0), over t/T_mu near and away
+    In units of psi, i.e. over the square root of the 40-digit N(beta)
+    (at 1e-7 and 1e-8 the mode sum of ``norm_constant`` needs more than the
+    cutoff cap), at the walls, the nodes x = k l/mu and three interior points (one
+    the first antinode, where psi peaks at t = 0), over t/T_mu near and away
     from the rationals of small denominator (0, 1/2 +- 1e-3, 0.99) and late
     or negative (7.37, 100.37, -0.42).  Below the switch beta, psi is this
     route, and it is checked the same way.
     """
     state = QuantumState(mu, beta)
-    scale = 1.0 / math.sqrt(norm_constant(state, sys))
+    scale = 1.0 / math.sqrt(sys.l * hp_norm_sum(beta))
     t_mu = derived_scales(state, sys).T_mu
     x_fracs = [0.0, 1.0, 0.137, 0.5 / mu, 0.861] + [k / mu for k in range(1, mu)]
     for t_frac in [0.0, 0.37, 0.5 - 1e-3, 0.5 + 1e-3, 0.99, 7.37, 100.37, -0.42]:
@@ -335,6 +389,26 @@ def test_theta1_reduction_matches_high_precision_sum(beta, mu, sys):
             assert abs(theta1(z, tau) * scale - want) <= tol, (x, t_frac)
             if beta <= _THETA1_MAX_BETA:
                 assert abs(psi(x, t, state, sys) + want) <= tol, (x, t_frac)
+
+
+def test_theta1_exact_nu_at_random_times():
+    """theta1 at 300 seeded random (x, t) at beta = 1e-6 against the reference sum; 5e-14 max(1, |psi|).
+
+    In units of psi.  Random t reaches modular words with c up to about
+    1000, where nu_j = j - c z must be formed exactly: measured 2.0e-14 at
+    most here, against 1.5e-13 with c z rounded in floats, which fails 20 of
+    these points.  The tolerance was fixed before measuring.
+    """
+    state = QuantumState(1, 1e-6)
+    scale = 1.0 / math.sqrt(NATURAL_UNITS.l * hp_norm_sum(state.beta))
+    t_mu = derived_scales(state, NATURAL_UNITS).T_mu
+    largest_c = 0
+    for x, t_frac in np.random.default_rng(7).uniform(0.0, 1.0, size=(300, 2)):
+        z, tau = well_theta_args(x, t_frac * t_mu, state, NATURAL_UNITS)
+        largest_c = max(largest_c, abs(_modular_word(tau)[2]))
+        want = hp_theta1(z, tau) * scale
+        assert abs(theta1(z, tau) * scale - want) <= 5e-14 * max(1.0, abs(want)), (x, t_frac)
+    assert largest_c > 900
 
 
 @pytest.mark.parametrize(
