@@ -13,11 +13,12 @@ Every moment is a bilinear form in the wavefunction and its x-derivatives
 derivative of each form into forms two orders up (``JetForms.dt``), so the
 moment hierarchy d M_k/dt + d M_{k+1}/dx = 0 (continuity for k = 0, the
 momentum, energy and heat-flux laws for k = 1, 2, 3) is checked without
-finite differences.  Two independent routes check the jet: the per-atom
-Chebyshev route (``series.comb_rows``), which ``velocity_from_vlasov`` takes
-against ``velocity_field``, and the folded double series
-(``series.folded_sum``), from which ``pressure_gradient`` and the gradient
-side of ``moment_law_residual`` are built.
+finite differences.  One independent route checks the jet: the rows C_s of
+the comb, summed by the Chebyshev kernel of ``series``.
+``velocity_from_vlasov`` reads the rows (``series.comb_rows``) against
+``velocity_field``; ``pressure_gradient`` and the gradient side of
+``moment_law_residual`` reduce the same rows with weights s^a
+(``series.folded_sum``).
 
 Fields that divide by the density carry a ``FieldTag``: below the density
 floor (walls, nodes) they are node-undefined or poles instead of fake large
@@ -156,16 +157,14 @@ def flux(
     state: QuantumState,
     sys: SystemParams = NATURAL_UNITS,
     trunc: Truncation = DEFAULT_TRUNCATION,
-    flow_constant: float = 0.0,
 ):
     """Probability flux f*<v> at (x, t); finite everywhere, no division by f.
 
     The continuity equation fixes the flux only up to an additive constant in
-    x; the wall boundary condition sets it to zero, which is the default.
-    ``flow_constant`` overrides it for experimentation.  Evaluated as
+    x; the wall boundary condition sets it to zero.  Evaluated as
     (hbar/m) Im(psi* psi') from an order-1 ``psi_jet``.  Broadcasts over x, t.
     """
-    return _unbox(_flux_form(jet_forms(x, t, state, sys, trunc, order=1), sys) + flow_constant)
+    return _unbox(_flux_form(jet_forms(x, t, state, sys, trunc, order=1), sys))
 
 
 def comb_atoms(

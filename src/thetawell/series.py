@@ -1,10 +1,12 @@
-"""Gaussian-weighted harmonic tables: the folded double series and the comb rows.
+"""Gaussian-weighted harmonic sums over the momentum rows of the phase-space comb.
 
 The fields themselves come from ``wavefunction.psi_jet`` in O(K) per point.
-The O(K^2) double series here are kept as independent oracles: the
-density-identity check and the moment-law checks (continuity, momentum-law,
-energy-law) compare the jet against ``folded_sum``, and ``comb_rows`` is the
-Chebyshev route of the phase-space comb.
+The O(K^2) lattice sums here are kept as independent oracles, and all of them
+are reductions of one set of rows: ``comb_rows`` returns the rows C_s of the
+comb (``velocity_from_vlasov`` and ``comb_atoms`` read them), and
+``folded_sum`` reduces the same rows, weighted by s^a, for the density-identity
+check, the moment-law checks (continuity, momentum-law, energy-law) and
+``pressure_gradient``.
 
 All densities and moments here are lattice sums over index pairs (n, k) with
 weights exp(-(pi*beta/4)[(2n+1)^2 + (2k+1)^2]) and phases built from
@@ -15,10 +17,12 @@ Substituting s = n + k + 1 (the momentum label of the phase-space comb) and
 j = k - n (the harmonic order of the phase) factorizes the weight into
 exp(-(pi*beta/2)(s^2 + j^2)) on the lattice {s + j odd}, and the index window
 becomes the diamond |s| + |j| <= 2K + 1 with K from the truncation policy.
-Folding the sign pairs (+-s, +-j) turns every moment into a short sum of
-products cos/sin(j*u) * cos/sin(j*s*w) with u = pi*(2*mu*x/l + 1) and
-w = (pi/T_mu)*t, which keeps the parity cancellations (zero flux at t = 0 and
-at the walls) exact in floating point.
+Each row s sees one angle G_s = u - s*w with u = pi*(2*mu*x/l + 1) and
+w = (pi/T_mu)*t, so with c = cos G_s its harmonics are Chebyshev polynomials,
+cos(j G_s) = T_j(c) and sin(j G_s) = sin G_s U_{j-1}(c), and one three-term
+recurrence sums every row without a transcendental per term.  The rows s and
+-s share c at t = 0, which keeps the parity cancellations (zero flux at
+t = 0) exact in floating point.
 
 Weights are rescaled by the leading term exp(-pi*beta/2) throughout, matching
 ``wavefunction.scaled_norm_sum``, so every normalized field stays
@@ -44,9 +48,6 @@ from .wavefunction import (
 
 __all__ = ["TermTable", "CombRows", "build_table", "folded_sum", "comb_rows"]
 
-# points per evaluation chunk, bounding the (terms x points) trig workspaces
-_CHUNK_BUDGET = 1 << 21
-
 
 @dataclass(frozen=True)
 class TermTable:
@@ -54,8 +55,10 @@ class TermTable:
 
     ``w`` holds the scaled Gaussian weight including the sign-fold
     multiplicity; ``norm`` is the scaled normalization sum
-    N(beta)/(l*exp(-pi*beta/2)); ``m_max`` = 2K+1 bounds |s| and |j|.  The
-    table is cached and shared, so its arrays are read-only.
+    N(beta)/(l*exp(-pi*beta/2)); ``m_max`` = 2K+1 bounds |s| and |j|.
+    ``dense[j, sigma]`` is the same weight with only the fold over +-j, as the
+    rows s = +sigma and s = -sigma are summed apart, and zero off the lattice.
+    The table is cached and shared, so its arrays are read-only.
     """
 
     sigma: np.ndarray
@@ -63,6 +66,7 @@ class TermTable:
     w: np.ndarray
     m_max: int
     norm: float
+    dense: np.ndarray
 
 
 def build_table(state: QuantumState, trunc: Truncation = DEFAULT_TRUNCATION) -> TermTable:
@@ -73,24 +77,67 @@ def build_table(state: QuantumState, trunc: Truncation = DEFAULT_TRUNCATION) -> 
 def _cached_table(state: QuantumState, trunc: Truncation) -> TermTable:
     cutoff = cutoff_for(state.beta, trunc)
     m_max = 2 * cutoff + 1
-    sigmas, iotas = [], []
-    for sg in range(m_max + 1):
-        for it in range((sg + 1) % 2, m_max - sg + 1, 2):
-            sigmas.append(sg)
-            iotas.append(it)
-    sigma = np.array(sigmas, dtype=np.int64)
-    iota = np.array(iotas, dtype=np.int64)
+    labels = np.arange(m_max + 1)
+    parity = labels % 2
+    lattice = np.not_equal.outer(parity, parity) & np.less_equal.outer(labels, m_max - labels)
+    sigma, iota = np.nonzero(lattice)  # sigma + iota odd and <= m_max; sigma-major, iota rising
     order = np.argsort(sigma * sigma + iota * iota, kind="stable")  # center-out
     sigma, iota = sigma[order], iota[order]
-    fold = np.where(sigma > 0, 2.0, 1.0) * np.where(iota > 0, 2.0, 1.0)
+    sigma_fold = np.where(sigma > 0, 2.0, 1.0)
+    fold = sigma_fold * np.where(iota > 0, 2.0, 1.0)
     w = fold * np.exp(
         -math.pi * state.beta / 2.0 * (sigma.astype(float) ** 2 + iota.astype(float) ** 2 - 1.0)
     )
-    for arr in (sigma, iota, w):
+    dense = np.zeros((m_max + 1, m_max + 1))
+    dense[iota, sigma] = w / sigma_fold  # a power of two: exact
+    for arr in (sigma, iota, w, dense):
         arr.flags.writeable = False
     return TermTable(
-        sigma=sigma, iota=iota, w=w, m_max=m_max, norm=scaled_norm_sum(state, trunc)
+        sigma=sigma, iota=iota, w=w, m_max=m_max, norm=scaled_norm_sum(state, trunc), dense=dense
     )
+
+
+def _rows(table: TermTable, uf: np.ndarray, wf: np.ndarray, j_power: int) -> np.ndarray:
+    """R_s = sum_j W(|s|, j) j^b trig(j G_s) for s = +-sigma: shape (m_max + 1, 2, points).
+
+    ``[sigma, 0]`` holds s = +sigma and ``[sigma, 1]`` s = -sigma, the latter
+    zeroed at sigma = 0 so that row is counted once.  trig is cos for even b,
+    summed as T_j(c), and sin for odd b, summed as sin G_s U_{j-1}(c); both
+    polynomials follow X_{j+1} = 2c X_j - X_{j-1} from their own two starts.
+    Row sigma stops at its last lattice order j = m_max - sigma.  Every step
+    is elementwise in the points, so a grid rounds exactly like one point.
+    """
+    m_max = table.m_max
+    weights = table.dense
+    if j_power:
+        weights = weights * np.arange(m_max + 1.0)[:, None] ** j_power
+    weights = weights[:, :, None, None]
+    shift = np.multiply.outer(np.arange(m_max + 1), wf)
+    angles = np.stack([uf - shift, uf + shift], axis=1)
+    c = np.cos(angles)
+    two_c = 2.0 * c
+    x_prev, x_cur = (np.zeros_like(c), np.ones_like(c)) if j_power % 2 else (np.ones_like(c), c)
+    acc = weights[0] * x_prev + weights[1] * x_cur
+    for j in range(2, m_max + 1):
+        n = m_max + 1 - j  # rows sigma < n still have lattice terms at order j
+        x_prev, x_cur = x_cur[:n], two_c[:n] * x_cur[:n] - x_prev[:n]
+        acc[:n] += weights[j, :n] * x_cur
+    if j_power % 2:
+        acc *= np.sin(angles)
+    acc[0, 1] = 0.0
+    return acc
+
+
+def _moment(plus: np.ndarray, minus: np.ndarray, s_power: int) -> np.ndarray:
+    """Per point, sum_s s^a C_s over rows C_{+sigma} = plus[sigma], C_{-sigma} = minus[sigma].
+
+    Each point's rows are reduced by one dot product over a contiguous last
+    axis, as for one point, so a grid rounds exactly like per-point calls; a
+    reduction over the row axis, or a matrix product, would round differently.
+    """
+    pair = plus - minus if s_power % 2 else plus + minus
+    sigmas = np.arange(len(plus), dtype=float)
+    return np.vecdot(np.ascontiguousarray(np.moveaxis(pair, 0, -1)), sigmas**s_power)
 
 
 def folded_sum(
@@ -109,50 +156,20 @@ def folded_sum(
     cos sums and b odd for sin sums (the opposite combinations vanish
     identically).  Broadcasts over x and t; scalar inputs return a float.
     The result carries the exp(+pi*beta/2) rescaling of the table weights.
-    Each point's terms are reduced by one dot product over a contiguous row,
-    as for a single point, so a grid call equals per-point calls bit for bit
-    (a matrix product over the points rounds differently).
+    It is sum_sigma sigma^a (R_{+sigma} + (-1)^a R_{-sigma}) over the rows of
+    ``comb_rows``' kernel with the weights j^b W, reduced per point.
     """
-    a, b = s_power, j_power
     if trig == "cos":
-        if b % 2 != 0:
+        if j_power % 2 != 0:
             raise ValueError("cos sums need an even j_power (odd ones vanish)")
     elif trig == "sin":
-        if b % 2 != 1:
+        if j_power % 2 != 1:
             raise ValueError("sin sums need an odd j_power (even ones vanish)")
     else:
         raise ValueError(f"trig must be 'cos' or 'sin', got {trig!r}")
-
     uf, wf, shape = _phase_coords(x, t, state, sys)
-
-    sf = table.sigma.astype(float)
-    jf = table.iota.astype(float)
-    coeff = table.w * sf**a * jf**b
-    keep = coeff != 0.0  # sigma^a kills sigma=0 rows for a >= 1
-    coeff, sf_k, jf_k = coeff[keep], sf[keep], jf[keep]
-    js = jf_k * sf_k
-
-    # fold rule: which trig hits the u angle and which the time angle
-    #   cos, a even: cosU*cosT   cos, a odd: sinU*sinT
-    #   sin, a even: sinU*cosT   sin, a odd: -cosU*sinT
-    u_is_cos = (trig == "cos") == (a % 2 == 0)
-    t_is_cos = a % 2 == 0
-    sign = -1.0 if (trig == "sin" and a % 2 == 1) else 1.0
-
-    n_terms = coeff.size
-    out = np.empty(uf.size, dtype=float)
-    chunk = max(1, _CHUNK_BUDGET // max(1, n_terms))
-    for lo in range(0, uf.size, chunk):
-        hi = min(lo + chunk, uf.size)
-        ang_u = np.multiply.outer(uf[lo:hi], jf_k)
-        ang_t = np.multiply.outer(wf[lo:hi], js)
-        fu = np.cos(ang_u, out=ang_u) if u_is_cos else np.sin(ang_u, out=ang_u)
-        ft = np.cos(ang_t, out=ang_t) if t_is_cos else np.sin(ang_t, out=ang_t)
-        fu *= ft
-        out[lo:hi] = np.vecdot(fu, coeff)
-    if sign < 0:
-        out = -out
-    out = out.reshape(shape)
+    rows = _rows(table, uf, wf, j_power)
+    out = _moment(rows[:, 0], rows[:, 1], s_power).reshape(shape)
     if out.ndim == 0:
         return float(out)
     return out
@@ -180,14 +197,9 @@ class CombRows:
     def sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Per point, sum_s C_s and sum_s s C_s, the comb's zeroth and first momentum sums.
 
-        Each point's rows are reduced over a contiguous last axis, as for one
-        point, so a grid rounds exactly like per-point calls; a reduction over
-        the row axis, or a matrix product, would round differently.
+        The same per-point reductions as ``folded_sum`` with a = 0 and 1.
         """
-        plus = np.ascontiguousarray(np.moveaxis(self.plus, 0, -1))
-        minus = np.ascontiguousarray(np.moveaxis(self.minus, 0, -1))
-        total = np.add.reduce(plus, axis=-1) + np.add.reduce(minus, axis=-1)
-        return total, np.vecdot(plus - minus, self.sigmas.astype(float))
+        return _moment(self.plus, self.minus, 0), _moment(self.plus, self.minus, 1)
 
 
 def comb_rows(
@@ -197,49 +209,21 @@ def comb_rows(
     sys: SystemParams = NATURAL_UNITS,
     trunc: Truncation = DEFAULT_TRUNCATION,
 ) -> CombRows:
-    """Evaluate every comb row C_s via the Chebyshev route.
+    """Evaluate every comb row C_s = sum_j W(s,j) T_|j|(cos G_s) by the Chebyshev recurrence.
 
-    Each row is sum_j W(s,j) T_|j|(cos G_s) with the polynomials expanded by
-    the recurrence T_{n+1} = 2c T_n - T_{n-1}; an evaluation path independent
-    of the direct cos(j*G_s) sums, used for two-route consistency checks.
-    All rows s = +-sigma advance through the recurrence together, one order
-    j at a time.
+    An evaluation path independent of the psi jet, used for two-route
+    consistency checks.  All rows s = +-sigma advance through the recurrence
+    together, one order j at a time; K and the weights come from the cached
+    ``build_table``.
     """
-    cutoff = cutoff_for(state.beta, trunc)
-    m_max = 2 * cutoff + 1
+    table = build_table(state, trunc)
     uf, wf, shape = _phase_coords(x, t, state, sys)
-    weights = _comb_weights(state.beta, m_max)
-
-    sigmas = np.arange(m_max + 1)
-    shift = np.multiply.outer(sigmas, wf)
-    c = np.cos(np.stack([uf - shift, uf + shift]))  # [0]: s = +sigma, [1]: s = -sigma
-    acc = weights[0][:, None] + weights[1][:, None] * c  # T_0 = 1, T_1 = c
-    t_prev, t_cur = 1.0, c
-    for j in range(2, m_max + 1):
-        t_prev, t_cur = t_cur, 2.0 * c * t_cur - t_prev
-        acc += weights[j][:, None] * t_cur
-    acc[1, 0] = 0.0  # the sigma = 0 row is counted once, in ``plus``
+    rows = _rows(table, uf, wf, 0)
+    size = (table.m_max + 1, *shape)
     return CombRows(
-        sigmas=sigmas,
-        plus=acc[0].reshape((m_max + 1, *shape)),
-        minus=acc[1].reshape((m_max + 1, *shape)),
-        norm=scaled_norm_sum(state, trunc),
-        m_max=m_max,
+        sigmas=np.arange(table.m_max + 1),
+        plus=rows[:, 0].reshape(size),
+        minus=rows[:, 1].reshape(size),
+        norm=table.norm,
+        m_max=table.m_max,
     )
-
-
-@functools.lru_cache(maxsize=16)
-def _comb_weights(beta: float, m_max: int) -> np.ndarray:
-    """Row weights W(sigma, j) indexed [j, sigma], zero off the lattice sigma + j odd.
-
-    Built with ``math.exp`` term by term; the zeros add exactly nothing to
-    the recurrence sums.
-    """
-    weights = np.zeros((m_max + 1, m_max + 1))
-    for sg in range(m_max + 1):
-        for it in range((sg + 1) % 2, m_max - sg + 1, 2):
-            weights[it, sg] = (2.0 if it > 0 else 1.0) * math.exp(
-                -math.pi * beta / 2.0 * (sg * sg + it * it - 1.0)
-            )
-    weights.flags.writeable = False
-    return weights

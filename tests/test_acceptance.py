@@ -137,21 +137,68 @@ def test_initial_density_comb_concentration():
         assert sup <= 2.0 + 1e-9
 
 
-@pytest.mark.parametrize("name", ["density-identity", "continuity", "momentum-law", "energy-law"])
+ROW_ORACLE_CHECKS = [
+    "density-identity",
+    "continuity",
+    "momentum-law",
+    "energy-law",
+    "wigner-marginal",
+    "velocity-two-path",
+]
+
+
+@pytest.mark.parametrize("name", ROW_ORACLE_CHECKS)
 def test_folded_oracle_is_live(name, monkeypatch):
-    """Scaling the folded series by 1 + 1e-4 must fail each check that uses it as oracle.
+    """Rows of the shared comb kernel off by 1 + 1e-4 must fail each check that uses them.
 
-    The fields come from the psi jet, so the scaled oracle no longer cancels
-    against the other side; 1e-4 clears the Madelung sub-check's 1e-6.
+    ``folded_sum`` and ``comb_rows`` reduce the same rows, so one mutant
+    reaches every oracle they serve; the fields come from the psi jet, so the
+    scaled rows no longer cancel against the other side.  Only the rows of
+    s > 0 are scaled: a uniform factor would cancel in velocity-two-path's
+    ratio of the first momentum sum to the zeroth.  1e-4 clears the Madelung
+    sub-check's 1e-6.
     """
-    real = series.folded_sum
+    assert run_check(name).passed
+    real = series._rows
 
-    def scaled(*args, **kwargs):
-        return real(*args, **kwargs) * (1.0 + 1e-4)
+    def scaled(*args):
+        rows = real(*args)
+        rows[1:, 0] *= 1.0 + 1e-4
+        return rows
 
-    _replace_everywhere(monkeypatch, "folded_sum", scaled)
+    monkeypatch.setattr(series, "_rows", scaled)
     r = run_check(name)
     assert not r.passed, r.detail
+
+
+def test_comb_transport_sees_a_reversed_time_angle(monkeypatch):
+    """Rows carried the wrong way in time (w -> -w) fail comb-transport, not wigner-marginal.
+
+    Reversing w maps row s onto row -s, so the sum over atoms, and with it
+    the marginal, is unchanged; only the transport of each atom sees it.
+    """
+    real = series._phase_coords
+
+    def reversed_time(*args):
+        u, w, shape = real(*args)
+        return u, -w, shape
+
+    monkeypatch.setattr(series, "_phase_coords", reversed_time)
+    assert not run_check("comb-transport").passed
+    assert run_check("wigner-marginal").passed
+
+
+def test_comb_transport_sees_a_wrong_momentum_unit(monkeypatch):
+    """Atoms whose momenta are off by 1 + 1e-6 are carried to the wrong place."""
+    real = phase_space.derived_scales
+
+    def skewed(*args):
+        scales = real(*args)
+        return dataclasses.replace(scales, P_unit=scales.P_unit * (1.0 + 1e-6))
+
+    monkeypatch.setattr(phase_space, "derived_scales", skewed)
+    r = run_check("comb-transport")
+    assert not r.passed and r.measured > 1e-7, r.measured
 
 
 def test_theta_form_is_live(monkeypatch):
@@ -170,9 +217,9 @@ def test_theta_form_is_live(monkeypatch):
     assert theta_form > 1e-12, r.detail
 
 
-def _replace_everywhere(monkeypatch, name: str, replacement) -> None:
-    """Bind ``replacement`` in every thetawell module that binds the real ``name``."""
-    real = getattr(phase_space, name)
+def _replace_everywhere(monkeypatch, name: str, replacement, home=phase_space) -> None:
+    """Bind ``replacement`` in every thetawell module that binds ``home``'s ``name``."""
+    real = getattr(home, name)
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("thetawell") and (
             getattr(module, name, None) is real
@@ -301,6 +348,25 @@ def test_cli_field_command_makes_one_grid_call(command, field, monkeypatch, caps
     assert len(table) == 1 + 9 * 4 * per_point  # header and the rows of every grid point
     assert len(calls) == 1
     assert np.broadcast_shapes(np.shape(calls[0][0]), np.shape(calls[0][1])) == (4, 9)
+
+
+def test_wigner_comb_reads_its_cutoff_from_the_cached_table(monkeypatch):
+    """100 wigner_comb calls at one state: at most one cutoff_for call and one table build."""
+    state = QuantumState(3, 0.043)
+    phase_space.wigner_comb(0.5, 0.0, state)
+    builds = series._cached_table.cache_info().misses
+    cutoffs = []
+
+    def counted(*args):
+        cutoffs.append(args)
+        return cutoff_for(*args)
+
+    _replace_everywhere(monkeypatch, "cutoff_for", counted, home=series)
+    rng = np.random.default_rng(9)
+    for x, t in rng.uniform(0.0, 1.0, size=(100, 2)).tolist():
+        phase_space.wigner_comb(x, t, state)
+    built = series._cached_table.cache_info().misses - builds
+    assert len(cutoffs) <= 1 and built <= 1, (len(cutoffs), built)
 
 
 def test_scalar_psi_looks_up_its_state_once(monkeypatch):

@@ -16,7 +16,7 @@ from thetawell.density import (
 )
 from thetawell.numerics import cutoff_for, integrate
 from thetawell.phase_space import flux, kinetic_energy_density, moments
-from thetawell.series import _comb_weights, build_table, comb_rows, folded_sum
+from thetawell.series import build_table, comb_rows, folded_sum
 from thetawell.wavefunction import (
     _JET_BUDGET,
     NATURAL_UNITS,
@@ -157,8 +157,12 @@ def test_zero_speed_component_is_static():
 
 
 def per_row_comb(x, t, state, sys=NATURAL_UNITS):
-    """Comb rows one row and one sign at a time, each with its own recurrence."""
-    m_max = 2 * cutoff_for(state.beta) + 1
+    """Comb rows one row and one sign at a time, each with its own recurrence.
+
+    The weights are the table's, summed over the lattice orders of each row.
+    """
+    table = build_table(state)
+    m_max = table.m_max
     u = math.pi * (2.0 * state.mu * x / sys.l + 1.0)
     w = math.pi / derived_scales(state, sys).T_mu * t
     rows = np.zeros((2, m_max + 1))
@@ -171,8 +175,7 @@ def per_row_comb(x, t, state, sys=NATURAL_UNITS):
                 if it >= 2:
                     t_prev, t_cur = t_cur, 2.0 * c * t_cur - t_prev
                 if (sg + it) % 2 == 1:
-                    weight = math.exp(-math.pi * state.beta / 2.0 * (sg * sg + it * it - 1.0))
-                    acc += (2.0 if it > 0 else 1.0) * weight * (1.0 if it == 0 else t_cur)
+                    acc += table.dense[it, sg] * (1.0 if it == 0 else t_cur)
             rows[0 if sign == 1 else 1, sg] = acc
     return rows
 
@@ -212,8 +215,7 @@ def test_cached_tables_are_read_only():
     before = density(0.3, 0.02, state)
     table = build_table(state)
     modes = mode_table(state.beta)
-    weights = _comb_weights(state.beta, 2 * cutoff_for(state.beta) + 1)
-    for arr in (table.sigma, table.iota, table.w, modes.m, modes.w, weights):
+    for arr in (table.sigma, table.iota, table.w, table.dense, modes.m, modes.w):
         with pytest.raises(ValueError):
             arr[0] *= 2
     assert density(0.3, 0.02, state) == before

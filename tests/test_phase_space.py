@@ -218,12 +218,6 @@ def test_flux_is_density_times_velocity():
                 )
 
 
-def test_flux_flow_constant_offset():
-    base = flux(0.4, 0.2 * T, STATE)
-    shifted = flux(0.4, 0.2 * T, STATE, flow_constant=0.25)
-    assert shifted - base == pytest.approx(0.25, abs=1e-15)
-
-
 def test_flux_broadcasts():
     xs = np.linspace(0.0, L, 7)[:, None]
     ts = np.linspace(0.0, T, 5)[None, :]
