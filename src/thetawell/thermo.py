@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import averaged_density, density_derivatives
+from .density import _GIBBS_DUAL_MAX_BETA, averaged_density, density_derivatives
 from .numerics import (
     DEFAULT_TRUNCATION,
     FieldSample,
@@ -35,7 +35,7 @@ from .numerics import (
     tagged,
 )
 from .phase_space import DENSITY_FLOOR, kinetic_energy_density
-from .theta import ThetaArgs, theta_char, theta_dual
+from .theta import ThetaArgs, _dual_terms, theta_char, theta_dual
 from .wavefunction import (
     NATURAL_UNITS,
     QuantumState,
@@ -155,28 +155,54 @@ def partition_theta_form(
 def gibbs_sums(beta, trunc: Truncation = DEFAULT_TRUNCATION):
     """S0 = sum w_m and S2 = sum m^2 w_m over positive odd m, for a float or an array of beta.
 
-    w_m = exp(-(pi*beta/2)(m^2 - 1)) for m = 1, 3, ..., 2K+1 with K =
-    cutoff_for(2 beta): the weights of ``mode_table``, summed as it sums them.
-    The betas are grouped by K, and each group is one exp over an (n, K+1)
-    block and one pairwise row sum per moment, so every sum equals the
-    scalar one bit for bit.  The one route of the Gibbs means.
+    w_m = exp(-(pi*beta/2)(m^2 - 1)).  The one route of the Gibbs means, in
+    two branches chosen per beta.  Above ``density._GIBBS_DUAL_MAX_BETA`` the
+    sums run over m = 1, 3, ..., 2K+1 with K = cutoff_for(2 beta), the
+    weights of ``mode_table`` summed as it sums them: the betas are grouped
+    by K, and each group is one exp over an (n, K+1) block and one pairwise
+    row sum per moment.  At and below it they come from the Poisson dual
+    Z = (2 beta)^(-1/2) sum_k (-1)^k exp(-pi k^2/(2 beta)) (``_gibbs_dual``),
+    a few terms and no cutoff.  Either way every sum equals the scalar one
+    bit for bit.
     """
     betas = np.asarray(beta, dtype=float)
     flat = betas.ravel()
-    # the array kernel, not cutoff_for: the benchmark's tracer keys each
-    # cutoff_for call by its beta, which an array cannot be
-    ks = _cutoff_array(2.0 * flat, trunc)
     s0, s2 = np.empty(flat.size), np.empty(flat.size)
-    # a set, not np.unique, which imports numpy.ma (about 1 MiB) on first use
-    for k in set(ks.tolist()):
-        rows = np.flatnonzero(ks == k)
-        m = np.arange(1, 2 * k + 2, 2, dtype=float)
-        w = np.exp((-math.pi * flat[rows] / 2.0)[:, None] * (m * m - 1.0))
-        s0[rows] = np.add.reduce(w, axis=1)
-        s2[rows] = np.add.reduce(m * m * w, axis=1)
+    dual = (flat > 0.0) & (flat <= _GIBBS_DUAL_MAX_BETA)
+    for i in np.flatnonzero(dual).tolist():
+        s0[i], s2[i] = _gibbs_dual(float(flat[i]), trunc)
+    summed = np.flatnonzero(~dual)  # bad betas too: the cutoff names them
+    if summed.size:
+        # the array kernel, not cutoff_for: the benchmark's tracer keys each
+        # cutoff_for call by its beta, which an array cannot be
+        ks = _cutoff_array(2.0 * flat[summed], trunc)
+        # a set, not np.unique, which imports numpy.ma (about 1 MiB) on first use
+        for k in set(ks.tolist()):
+            rows = summed[ks == k]
+            m = np.arange(1, 2 * k + 2, 2, dtype=float)
+            w = np.exp((-math.pi * flat[rows] / 2.0)[:, None] * (m * m - 1.0))
+            s0[rows] = np.add.reduce(w, axis=1)
+            s2[rows] = np.add.reduce(m * m * w, axis=1)
     if betas.ndim == 0:
         return float(s0[0]), float(s2[0])
     return s0.reshape(betas.shape), s2.reshape(betas.shape)
+
+
+def _gibbs_dual(beta: float, trunc: Truncation) -> tuple[float, float]:
+    """(S0, S2) at one beta from the terms of ``theta_dual`` for Z = theta[1/2,1/2](-1/2, 2i beta).
+
+    With D = sum_k (-1)^k exp(-pi k^2/(2 beta)), Z = (2 beta)^(-1/2) D,
+    S0 = exp(pi beta/2) Z/2 and S2/S0 = -(2/pi) d ln Z/d beta
+    = 1/(pi beta) - sum_k (-1)^k k^2 exp(-pi k^2/(2 beta)) / (beta^2 D),
+    the derivative taken term by term: exactly 1/(pi beta) once the k != 0
+    terms underflow.
+    """
+    k, terms = _dual_terms(ThetaArgs(0.5, 0.5, -0.5, 2j * beta), trunc)  # w = z + b = 0: offsets are k
+    terms = terms.real
+    d = float(np.add.reduce(terms))
+    s0 = math.exp(math.pi * beta / 2.0) * (d / math.sqrt(2.0 * beta)) / 2.0
+    ratio = 1.0 / (math.pi * beta) - float(np.add.reduce(k * k * terms)) / (beta * beta * d)
+    return s0, s0 * ratio
 
 
 def _mean_energy(beta_thermo, beta, s0, s2):

@@ -111,7 +111,30 @@ def theta_char(args: ThetaArgs, trunc: Truncation = DEFAULT_TRUNCATION) -> compl
     return complex(np.sum(np.exp(modulus + _TWO_PI_I * turns)))
 
 
-def theta_dual(args: ThetaArgs, trunc: Truncation = DEFAULT_TRUNCATION) -> complex:
+def _dual_terms(args: ThetaArgs, trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets k - w and terms exp(2 pi i k a) exp(-pi (k - w)^2 / kappa) of ``theta_dual``.
+
+    Shape z.shape + (2R + 1,), R = ceil(reach): point w gets the window
+    k = round(w) + j, |j| <= R, ordered center-out by |k - w| (j = 0, then
+    -1 and 1 in the order of their distance to w, ...).  That window holds
+    every term above the tolerance, and for a scalar z off the half-integers
+    it is the window and order of the single-point sum.
+    """
+    tau, z = complex(args.tau), np.asarray(args.z)
+    if tau.real != 0.0 or np.any(z.imag != 0.0):
+        raise ValueError(f"theta_dual needs imaginary tau and real z, got tau={tau!r}, z={args.z!r}")
+    kappa, w = tau.imag, z.real.astype(float) + args.b
+    reach = math.ceil(math.sqrt(kappa / math.pi * (math.log(1.0 / trunc.tol) + math.pi * kappa / 4.0)))
+    j = np.zeros(2 * reach + 1)
+    j[1::2], j[2::2] = -np.arange(1, reach + 1), np.arange(1, reach + 1)
+    center = np.round(w)
+    side = np.where(w > center, -1.0, 1.0)  # nearer neighbour first
+    k = center[..., None] + side[..., None] * j
+    d = k - w[..., None]
+    return d, np.exp(-math.pi * d**2 / kappa + _TWO_PI_I * _turns(args.a, k))
+
+
+def theta_dual(args: ThetaArgs, trunc: Truncation = DEFAULT_TRUNCATION):
     """The theta series at purely imaginary tau = i kappa and real z, by Poisson summation.
 
     theta[a, b](z, i kappa) = kappa^(-1/2) sum_k exp(2 pi i k a) exp(-pi (k - w)^2 / kappa)
@@ -121,16 +144,22 @@ def theta_dual(args: ThetaArgs, trunc: Truncation = DEFAULT_TRUNCATION) -> compl
     of the half-characteristic sum relative to its leading term, and summed
     center-out.  Its rounding grows with that cancellation as kappa grows,
     so callers keep ``theta_char`` for large kappa.
+
+    ``args.z`` may be an array of real points; each gets its own window about
+    round(w) and one row sum, so an array gives per-point calls bit for bit
+    and a complex array comes back.  The routes that run it: the norm of
+    ``psi`` at small beta and ``partition_theta_form`` (z a scalar), and
+    ``averaged_density`` and ``gibbs_sums`` at and below their switch beta.
     """
-    tau, z = complex(args.tau), complex(args.z)
-    if tau.real != 0.0 or z.imag != 0.0:
-        raise ValueError(f"theta_dual needs imaginary tau and real z, got tau={tau!r}, z={z!r}")
-    kappa, w = tau.imag, z.real + args.b
-    reach = math.sqrt(kappa / math.pi * (math.log(1.0 / trunc.tol) + math.pi * kappa / 4.0))
-    ks = _index_window(-w, math.ceil(reach))
-    k = ks.astype(float)
-    terms = np.exp(-math.pi * (k - w) ** 2 / kappa + _TWO_PI_I * _turns(args.a, k))
-    return complex(np.sum(terms)) / math.sqrt(kappa)
+    terms = _dual_terms(args, trunc)[1]
+    total = np.add.reduce(terms, axis=-1)
+    root = math.sqrt(complex(args.tau).imag)
+    if total.ndim == 0:
+        return complex(total.real / root, total.imag / root)
+    out = np.empty(total.shape, dtype=complex)
+    out.real = total.real / root  # part by part: numpy's complex division rounds otherwise
+    out.imag = total.imag / root
+    return out
 
 
 def _modular_word(tau: complex) -> tuple[int, int, int, int, int, int, float]:

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .density import averaged_density, density, period, stationary_density
+from .density import _averaged_dual, _averaged_modes, averaged_density, density, period, stationary_density
 from .numerics import DEFAULT_TRUNCATION, Truncation, integrate
 from .phase_space import (
     DENSITY_FLOOR,
@@ -173,15 +173,23 @@ def _check_time_average(sys: SystemParams, trunc: Truncation) -> CheckResult:
     )
     mass = integrate(lambda x: averaged_density(x, state, sys, trunc), 0.0, sys.l, 1024)
     mass_err = abs(mass - 1.0)
-    passed = worst_avg < 1e-8 and frozen_diff < 1e-6 * 2.0 / sys.l and mass_err < 1e-10
+
+    # the two routes of averaged_density where both are cheap and accurate
+    narrow = QuantumState(1, 1e-3)
+    xs = np.linspace(0.0, sys.l, 51)
+    routes = float(
+        np.max(np.abs(_averaged_dual(xs, narrow, sys, trunc) - _averaged_modes(xs, narrow, sys, trunc)))
+    )
+    passed = worst_avg < 1e-8 and frozen_diff < 1e-6 * 2.0 / sys.l and mass_err < 1e-10 and routes < 1e-8
     return CheckResult(
         name="time-average",
         passed=passed,
-        measured=max(worst_avg, frozen_diff, mass_err),
+        measured=max(worst_avg, frozen_diff, mass_err, routes),
         tolerance=1e-8,
         detail=(
             f"avg-vs-quadrature {worst_avg:.3e} (<1e-8); frozen-limit {frozen_diff:.3e} "
-            f"(<{1e-6 * 2.0 / sys.l:.0e}); mass {mass_err:.3e} (<1e-10)"
+            f"(<{1e-6 * 2.0 / sys.l:.0e}); mass {mass_err:.3e} (<1e-10); "
+            f"poisson-dual-vs-mode-sum at beta=1e-3 {routes:.3e} (<1e-8)"
         ),
     )
 

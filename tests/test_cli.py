@@ -266,6 +266,24 @@ def test_truncation_overflow_exits_2(capsys):
     assert len(data_lines(out)) == 1 + 2 * 2
 
 
+def test_o1_term_commands_need_no_cutoff(capsys):
+    """The averaged density and the Gibbs layer take the Poisson dual at small beta: no overflow."""
+    code, out, err = run_cli(capsys, ["thermo", "--beta-sweep", "1e-8:1e-6:3"])
+    assert code == 0, err
+    rows = [line.split(",") for line in data_lines(out)[1:]]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[2:])
+    code, out, err = run_cli(capsys, ["averaged-density", "--beta", "1e-7", "--grid-x", "9"])
+    assert code == 0, err
+    values = [float(line.split(",")[2]) for line in data_lines(out)[1:]]
+    assert len(values) == 9 and all(math.isfinite(v) for v in values)
+    assert values[0] == values[-1] == 0.0 and values[4] == 2.0
+    # the instantaneous density still needs K ~ beta^(-1/2) modes
+    code, _, err = run_cli(capsys, ["density", "--beta", "1e-7", "--grid-x", "2", "--grid-t", "2"])
+    assert code == 2
+    assert "truncation overflow" in err
+
+
 def test_help_exits_0(capsys):
     code, out, _ = run_cli(capsys, ["--help"])
     assert code == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetawell.density import averaged_density, period, stationary_density
+from thetawell.density import _GIBBS_DUAL_MAX_BETA, averaged_density, period, stationary_density
 from thetawell.numerics import FieldTag, integrate
 from thetawell.thermo import (
     GibbsParams,
@@ -362,13 +362,15 @@ def _bits(values) -> np.ndarray:
 
 
 def test_gibbs_sums_equal_mode_table_sums():
-    """One block per cutoff group, summed as mode_table's weights are: the same bits."""
+    """Above the dual switch, one block per cutoff group, summed as mode_table's
+    weights are: the same bits.  On both sides an array equals scalar calls."""
     betas = np.concatenate([np.linspace(0.2, 1.0, 2001), np.geomspace(3.1e-7, 30.0, 97)])
     s0, s2 = gibbs_sums(betas)
     for b, a0, a2 in zip(betas.tolist(), s0.tolist(), s2.tolist()):
-        w = mode_table(b).w
-        m = mode_table(b).m
-        assert (a0, a2) == (float(np.sum(w)), float(np.sum(m * m * w))), b
+        if b > _GIBBS_DUAL_MAX_BETA:
+            w = mode_table(b).w
+            m = mode_table(b).m
+            assert (a0, a2) == (float(np.sum(w)), float(np.sum(m * m * w))), b
         assert gibbs_sums(b) == (a0, a2)
     assert [a.shape for a in gibbs_sums(betas.reshape(-1, 2))] == [(betas.size // 2, 2)] * 2
 

@@ -424,3 +424,20 @@ def test_theta_dual_matches_direct_series(a, b, z, kappa):
         theta_dual(ThetaArgs(a, b, z, 0.1 + 1j * kappa))
     with pytest.raises(ValueError):
         theta_dual(ThetaArgs(a, b, z + 0.1j, 1j * kappa))
+
+
+@pytest.mark.parametrize("a,b,kappa", [(0.5, 0.0, 2e-5), (0.5, 0.5, 4e-2), (0.25, 0.5, 0.7), (0.0, 0.3, 4.2)])
+def test_theta_dual_array_equals_points(a, b, kappa):
+    """An array of z, half-integers and lattice points among them, gives per-point calls bit for bit."""
+    zs = np.concatenate([np.linspace(-2.0, 2.0, 17), np.random.default_rng(3).uniform(-3.0, 3.0, 30)])
+    grid = theta_dual(ThetaArgs(a, b, zs, 1j * kappa))
+    points = np.array([theta_dual(ThetaArgs(a, b, z, 1j * kappa)) for z in zs.tolist()])
+    assert grid.shape == zs.shape
+    assert np.array_equal(grid.view(np.uint64), points.view(np.uint64))
+    assert theta_dual(ThetaArgs(a, b, zs.reshape(-1, 1), 1j * kappa)).ravel().tolist() == grid.tolist()
+    for z in (0.5 - b, 1.5 - b, 0.37):  # w = z + b on a half-integer, and off it
+        args = ThetaArgs(a, b, z, 1j * kappa)
+        scale = sum(math.exp(-math.pi * kappa * (k + a) ** 2) for k in range(-4000, 4001))
+        assert abs(theta_dual(args) - theta_char(args)) <= 1e-14 * scale
+    with pytest.raises(ValueError):
+        theta_dual(ThetaArgs(a, b, zs + 0.1j, 1j * kappa))
