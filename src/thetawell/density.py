@@ -56,9 +56,10 @@ def density(
     """Probability density at (x, t): the squared modulus of the wavefunction.
 
     |psi|^2 from the order-0 ``psi_jet``, one O(K) sum per point; the sum
-    of the comb rows, ``series.folded_sum``, is its independent oracle in the
-    density-identity check.  Values may undershoot 0 by the truncation floor
-    near nodes; they are never clamped here.  Broadcasts over x and t.
+    of the comb rows, ``series.comb_rows(...).moment(0)``, is its independent
+    oracle in the density-identity check.  Values may undershoot 0 by the
+    truncation floor near nodes; they are never clamped here.  Broadcasts
+    over x and t.
     """
     return _unbox(jet_forms(x, t, state, sys, trunc).re(0, 0))
 

@@ -14,11 +14,11 @@ derivative of each form into forms two orders up (``JetForms.dt``), so the
 moment hierarchy d M_k/dt + d M_{k+1}/dx = 0 (continuity for k = 0, the
 momentum, energy and heat-flux laws for k = 1, 2, 3) is checked without
 finite differences.  One independent route checks the jet: the rows C_s of
-the comb, summed by the Chebyshev kernel of ``series``.
-``velocity_from_vlasov`` reads the rows (``series.comb_rows``) against
-``velocity_field``; ``pressure_gradient`` and the gradient side of
-``moment_law_residual`` reduce the same rows with weights s^a
-(``series.folded_sum``).
+the comb, summed by the Chebyshev kernel of ``series.comb_rows``.
+``velocity_from_vlasov`` reads the rows against ``velocity_field``;
+``pressure_gradient`` and the gradient side of ``moment_law_residual``
+reduce the rows and their x-derivatives (``comb_rows``' ``order``) with
+weights s^a (``CombRows.moment``).
 
 Fields that divide by the density carry a ``FieldTag``: below the density
 floor (walls, nodes) they are node-undefined or poles instead of fake large
@@ -41,7 +41,7 @@ from .numerics import (
     Truncation,
     tagged,
 )
-from .series import build_table, comb_rows, folded_sum
+from .series import comb_rows
 from .wavefunction import (
     NATURAL_UNITS,
     JetForms,
@@ -97,18 +97,19 @@ class WignerAtom:
 
 @dataclass(frozen=True)
 class WignerComb:
-    """The full phase-space comb at one (x, t): finitely many momentum atoms."""
+    """The full phase-space comb at one (x, t): finitely many momentum atoms.
+
+    ``hbar`` is the Planck constant of the system the comb was built in.
+    """
 
     x: float
     t: float
     atoms: tuple[WignerAtom, ...]
+    hbar: float
 
-    def marginal(self, sys: SystemParams = NATURAL_UNITS) -> float:
-        """Momentum marginal: hbar * sum of weights; reproduces the density.
-
-        ``sys`` must be the system the comb was built with.
-        """
-        return sys.hbar * math.fsum(atom.weight for atom in self.atoms)
+    def marginal(self) -> float:
+        """Momentum marginal: hbar * sum of weights; reproduces the density."""
+        return self.hbar * math.fsum(atom.weight for atom in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ def wigner_comb(
     """
     labels, momenta, weights = comb_atoms(x, t, state, sys, trunc)
     atoms = tuple(map(WignerAtom, labels.tolist(), momenta.tolist(), weights.tolist()))
-    return WignerComb(x=float(x), t=float(t), atoms=atoms)
+    return WignerComb(x=float(x), t=float(t), atoms=atoms, hbar=sys.hbar)
 
 
 def _probe_velocity(
@@ -262,15 +263,14 @@ def velocity_from_vlasov(
     route, independent of ``velocity_field``'s series; the node test uses the
     same canonical density so the two paths are undefined at identical points.
     Broadcasts over x and t, and a grid call equals per-point calls bit for
-    bit (see ``CombRows.sums``).
+    bit (see ``CombRows.moment``).
     """
     f = density(x, t, state, sys, trunc)
     rows = comb_rows(x, t, state, sys, trunc)
-    total, first = rows.sums()
     den = sys.l * rows.norm
     with np.errstate(divide="ignore", invalid="ignore"):
-        f_comb = total / den
-        phi_comb = derived_scales(state, sys).P_unit / sys.m * first / den
+        f_comb = rows.moment(0) / den
+        phi_comb = derived_scales(state, sys).P_unit / sys.m * rows.moment(1) / den
         return tagged(phi_comb / f_comb, f >= _floor_for(sys), FieldTag.NODE_UNDEFINED)
 
 
@@ -349,28 +349,21 @@ def pressure_gradient(
     """Analytic d P11 / dx, term-wise exact (no finite differences).
 
     Differentiates P11 = m (M2 - flux^2 / f) with every ingredient, f and f'
-    included, evaluated by its own term-wise derivative of the folded double
-    series; nothing comes from ``psi_jet``, so the momentum-law check's
+    included, a moment of the comb rows (order 0) or of their x-derivatives
+    (order 1); nothing comes from ``psi_jet``, so the momentum-law check's
     comparison with the quantum-potential gradient (built on the jet) compares
     two routes.  Node-undefined below the density floor, where the central
     moment has no center.  Broadcasts over x and t.
     """
     _check_domain(x, sys)
-    table = build_table(state, trunc)
-    den = sys.l * table.norm
+    rows, grad = (comb_rows(x, t, state, sys, trunc, order=k) for k in (0, 1))
+    den = sys.l * rows.norm
     vu = derived_scales(state, sys).P_unit / sys.m
-    ux = 2.0 * math.pi * state.mu / sys.l
-
-    def series(s_power: int, j_power: int, trig: str) -> np.ndarray:
-        return np.asarray(
-            folded_sum(table, x, t, state, sys, s_power=s_power, j_power=j_power, trig=trig)
-        )
-
-    f = series(0, 0, "cos") / den
-    f1 = -ux * series(0, 1, "sin") / den
-    phi = vu * series(1, 0, "cos") / den
-    phi1 = -vu * ux * series(1, 1, "sin") / den
-    m2_1 = -(vu**2) * ux * series(2, 1, "sin") / den
+    f = rows.moment(0) / den
+    f1 = grad.moment(0) / den
+    phi = vu * rows.moment(1) / den
+    phi1 = vu * grad.moment(1) / den
+    m2_1 = vu**2 * grad.moment(2) / den
     with np.errstate(divide="ignore", invalid="ignore"):
         val = sys.m * (m2_1 - 2.0 * phi * phi1 / f + phi * phi * f1 / (f * f))
     return tagged(val, f >= _floor_for(sys), FieldTag.NODE_UNDEFINED)
@@ -409,15 +402,12 @@ def moment_law_residual(
     The comb is carried freely, so its velocity moments obey this hierarchy
     exactly: k = 0 is continuity, k = 1 the flow-acceleration law, k = 2 and
     3 the energy and heat-flux laws.  d M_k/dt is ``moment_rate`` (the psi
-    jet); d M_{k+1}/dx is the term-wise derivative of the folded double
-    series, the sum over atoms of (P_s/m)^{k+1} d C_s/dx.  A wrong series on
-    either side leaves a residual; correct ones agree to the floating-point
-    floor.  Finite everywhere, walls and nodes included.  Broadcasts over x
-    and t.
+    jet); d M_{k+1}/dx is the sum over atoms of (P_s/m)^{k+1} d C_s/dx, a
+    moment of the order-1 ``comb_rows``.  A wrong series on either side
+    leaves a residual; correct ones agree to the floating-point floor.
+    Finite everywhere, walls and nodes included.  Broadcasts over x and t.
     """
     rate = moment_rate(x, t, k, state, sys, trunc)
-    table = build_table(state, trunc)
+    grad = comb_rows(x, t, state, sys, trunc, order=1)
     vu = derived_scales(state, sys).P_unit / sys.m
-    ux = 2.0 * math.pi * state.mu / sys.l
-    core = folded_sum(table, x, t, state, sys, s_power=k + 1, j_power=1, trig="sin")
-    return _unbox(np.abs(rate - vu ** (k + 1) * ux * core / (sys.l * table.norm)))
+    return _unbox(np.abs(rate + vu ** (k + 1) * grad.moment(k + 1) / (sys.l * grad.norm)))

@@ -33,7 +33,7 @@ from .phase_space import (
     velocity_field,
     velocity_from_vlasov,
 )
-from .series import build_table, folded_sum
+from .series import comb_rows
 from .thermo import (
     _time_panels,
     double_avg_energy,
@@ -117,14 +117,14 @@ def _check_schrodinger(sys: SystemParams, trunc: Truncation) -> CheckResult:
 def _check_density_identity(
     sys: SystemParams, trunc: Truncation, state: QuantumState
 ) -> CheckResult:
-    # |psi|^2 from the O(K) psi jet against the O(K^2) folded double series,
-    # one time row per call to keep the series' workspace small
+    # |psi|^2 from the O(K) psi jet against the sum of the comb rows,
+    # one time row per call to keep the rows' workspace small
     t_mu = period(state, sys)
     xs = np.linspace(0.0, sys.l, 101)
-    table = build_table(state, trunc)
     worst = 0.0
     for t in np.linspace(0.0, t_mu, 11):
-        series = folded_sum(table, xs, t, state, sys) / (sys.l * table.norm)
+        rows = comb_rows(xs, t, state, sys, trunc)
+        series = rows.moment(0) / (sys.l * rows.norm)
         worst = max(worst, float(np.max(np.abs(density(xs, t, state, sys, trunc) - series))))
     per = float(np.max(np.abs(density(xs, 0.0, state, sys, trunc) - density(xs, t_mu, state, sys, trunc))))
     worst_all = max(worst, per)
@@ -133,7 +133,7 @@ def _check_density_identity(
         passed=worst_all < 1e-10,
         measured=worst_all,
         tolerance=1e-10,
-        detail=f"max(||psi|^2 - folded series| on 101x11, |f(x,0)-f(x,T)|) at mu={state.mu}, beta={state.beta}",
+        detail=f"max(||psi|^2 - sum of comb rows| on 101x11, |f(x,0)-f(x,T)|) at mu={state.mu}, beta={state.beta}",
     )
 
 

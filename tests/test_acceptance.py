@@ -17,6 +17,7 @@ import dataclasses
 import re
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -151,8 +152,8 @@ ROW_ORACLE_CHECKS = [
 def test_folded_oracle_is_live(name, monkeypatch):
     """Rows of the shared comb kernel off by 1 + 1e-4 must fail each check that uses them.
 
-    ``folded_sum`` and ``comb_rows`` reduce the same rows, so one mutant
-    reaches every oracle they serve; the fields come from the psi jet, so the
+    Every comb oracle reads ``comb_rows``, of order 0 or 1, so one mutant
+    reaches all of them; the fields come from the psi jet, so the
     scaled rows no longer cancel against the other side.  Only the rows of
     s > 0 are scaled: a uniform factor would cancel in velocity-two-path's
     ratio of the first momentum sum to the zeroth.  1e-4 clears the Madelung
@@ -298,11 +299,11 @@ LAW_GRID = (21, 11)
         # the k = 1 law and its rate on the grid; the density and its
         # derivatives at the 20 Madelung points
         ("momentum-law", wavefunction, "psi_jet", [LAW_GRID] * 2 + [(20,)] * 2),
-        # the k = 1 law, then the five series of the pressure gradient
-        ("momentum-law", phase_space, "folded_sum", [LAW_GRID] + [(20,)] * 5),
+        # the k = 1 law, then the rows and their x-derivatives for the pressure gradient
+        ("momentum-law", phase_space, "comb_rows", [LAW_GRID, (20,), (20,)]),
         # law and rate for k = 2 and 3, the moments, the raw moments
         ("energy-law", wavefunction, "psi_jet", [LAW_GRID] * 6),
-        ("energy-law", phase_space, "folded_sum", [LAW_GRID] * 2),
+        ("energy-law", phase_space, "comb_rows", [LAW_GRID] * 2),
     ],
     ids=[
         "normalization",
@@ -320,8 +321,6 @@ LAW_GRID = (21, 11)
 def test_sampling_check_makes_one_call_per_grid(check, module, field, grids, monkeypatch):
     calls = _count_calls(monkeypatch, module, field)
     assert run_check(check).passed
-    if field == "folded_sum":  # (table, x, t, ...)
-        calls = [args[1:] for args in calls]
     assert [np.broadcast_shapes(np.shape(args[0]), np.shape(args[1])) for args in calls] == grids
     if check == "comb-transport":
         assert calls[1][1] == 0.0
@@ -351,10 +350,10 @@ def test_cli_field_command_makes_one_grid_call(command, field, monkeypatch, caps
 
 
 def test_wigner_comb_reads_its_cutoff_from_the_cached_table(monkeypatch):
-    """100 wigner_comb calls at one state: at most one cutoff_for call and one table build."""
+    """101 wigner_comb calls at one state: at most one cutoff_for call and no table build."""
     state = QuantumState(3, 0.043)
-    phase_space.wigner_comb(0.5, 0.0, state)
     builds = series._cached_table.cache_info().misses
+    phase_space.wigner_comb(0.5, 0.0, state)
     cutoffs = []
 
     def counted(*args):
@@ -366,7 +365,55 @@ def test_wigner_comb_reads_its_cutoff_from_the_cached_table(monkeypatch):
     for x, t in rng.uniform(0.0, 1.0, size=(100, 2)).tolist():
         phase_space.wigner_comb(x, t, state)
     built = series._cached_table.cache_info().misses - builds
-    assert len(cutoffs) <= 1 and built <= 1, (len(cutoffs), built)
+    assert len(cutoffs) <= 1 and built == 0, (len(cutoffs), built)
+
+
+def _no_table(*args):
+    raise AssertionError("a comb path built the term table")
+
+
+def test_no_comb_path_builds_a_table(monkeypatch, capsys):
+    """Every check, and every CLI command that reaches the comb or the jet, runs without the table."""
+    monkeypatch.setattr(series, "_cached_table", _no_table)
+    results = verification.run_all_checks()
+    assert [r.name for r in results if not r.passed] == []
+    for command in ("density", "velocity", "energy", "wigner"):
+        assert cli.main([command]) == 0, command
+        assert capsys.readouterr().out
+
+
+def _clear_caches():
+    """Empty every lru_cache of the package, so the next call is cold."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("thetawell"):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda state: series.comb_rows(0.37, 0.01, state),
+        lambda state: phase_space.moment_law_residual(0.37, 0.01, 1, state),
+    ],
+    ids=["comb_rows", "moment_law_residual"],
+)
+def test_cold_comb_point_allocates_no_square_array(call):
+    """A cold point at beta = 1e-5 (K = 1013) peaks below 8 MiB under tracemalloc.
+
+    One (2K + 2)^2 float array there is 33 MB; the comb's weights are two
+    vectors of 2K + 2 entries, and its work arrays grow with K times points.
+    """
+    state = QuantumState(1, 1e-5)
+    _clear_caches()
+    tracemalloc.start()
+    try:
+        call(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_scalar_psi_looks_up_its_state_once(monkeypatch):

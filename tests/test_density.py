@@ -14,9 +14,9 @@ from thetawell.density import (
     period,
     stationary_density,
 )
-from thetawell.numerics import cutoff_for, integrate
+from thetawell.numerics import DEFAULT_TRUNCATION, cutoff_for, integrate
 from thetawell.phase_space import flux, kinetic_energy_density, moments
-from thetawell.series import build_table, comb_rows, folded_sum
+from thetawell.series import _comb_weights, build_table, comb_rows
 from thetawell.wavefunction import (
     _JET_BUDGET,
     NATURAL_UNITS,
@@ -159,10 +159,13 @@ def test_zero_speed_component_is_static():
 def per_row_comb(x, t, state, sys=NATURAL_UNITS):
     """Comb rows one row and one sign at a time, each with its own recurrence.
 
-    The weights are the table's, summed over the lattice orders of each row.
+    The weights are the closed form: W(s, j) = 2^[j>0] g_|s| g_j on the
+    lattice s + j odd, with g_n = exp(-(pi beta/2)(n^2 - [n odd])); each
+    row sums its lattice orders, then takes its own g_|s|.
     """
-    table = build_table(state)
-    m_max = table.m_max
+    m_max = 2 * cutoff_for(state.beta) + 1
+    labels = np.arange(m_max + 1.0)
+    g = np.exp(-math.pi * state.beta / 2.0 * (labels * labels - labels % 2))
     u = math.pi * (2.0 * state.mu * x / sys.l + 1.0)
     w = math.pi / derived_scales(state, sys).T_mu * t
     rows = np.zeros((2, m_max + 1))
@@ -175,8 +178,8 @@ def per_row_comb(x, t, state, sys=NATURAL_UNITS):
                 if it >= 2:
                     t_prev, t_cur = t_cur, 2.0 * c * t_cur - t_prev
                 if (sg + it) % 2 == 1:
-                    acc += table.dense[it, sg] * (1.0 if it == 0 else t_cur)
-            rows[0 if sign == 1 else 1, sg] = acc
+                    acc += (2.0 if it else 1.0) * g[it] * (1.0 if it == 0 else t_cur)
+            rows[0 if sign == 1 else 1, sg] = acc * g[sg]
     return rows
 
 
@@ -215,7 +218,8 @@ def test_cached_tables_are_read_only():
     before = density(0.3, 0.02, state)
     table = build_table(state)
     modes = mode_table(state.beta)
-    for arr in (table.sigma, table.iota, table.w, table.dense, modes.m, modes.w):
+    row_w, order_w = _comb_weights(state.beta, DEFAULT_TRUNCATION)
+    for arr in (table.sigma, table.iota, table.w, row_w, order_w, modes.m, modes.w):
         with pytest.raises(ValueError):
             arr[0] *= 2
     assert density(0.3, 0.02, state) == before
@@ -273,24 +277,19 @@ def test_jet_call_larger_than_one_chunk_equals_small_batches():
 
 
 def folded_fields(x, t, state, sys=NATURAL_UNITS):
-    """Every jet field from the O(K^2) folded double series, the independent oracle."""
-    table = build_table(state)
-    den = sys.l * table.norm
-    ux = 2.0 * math.pi * state.mu / sys.l
+    """Every jet field from moments of the comb rows and their x-derivatives, the independent oracle."""
     scales = derived_scales(state, sys)
     vu = scales.P_unit / sys.m
-
-    def fs(a, b, trig):
-        return folded_sum(table, x, t, state, sys, s_power=a, j_power=b, trig=trig) / den
-
+    rows = [comb_rows(x, t, state, sys, order=k) for k in range(4)]
+    den = sys.l * rows[0].norm
     return {
-        "f": fs(0, 0, "cos"),
-        "f1": -ux * fs(0, 1, "sin"),
-        "f2": -(ux**2) * fs(0, 2, "cos"),
-        "f3": ux**3 * fs(0, 3, "sin"),
-        "flux": vu * fs(1, 0, "cos"),
-        "ke": scales.E_mu * fs(2, 0, "cos"),
-        "m3": vu**3 * fs(3, 0, "cos"),
+        "f": rows[0].moment(0) / den,
+        "f1": rows[1].moment(0) / den,
+        "f2": rows[2].moment(0) / den,
+        "f3": rows[3].moment(0) / den,
+        "flux": vu * rows[0].moment(1) / den,
+        "ke": scales.E_mu * rows[0].moment(2) / den,
+        "m3": vu**3 * rows[0].moment(3) / den,
     }
 
 

@@ -78,7 +78,30 @@ def test_comb_marginal_other_units():
     state = QuantumState(mu=2, beta=0.4)
     x, t = 0.3, 0.41 * period(state, sys)
     comb = wigner_comb(x, t, state, sys)
-    assert comb.marginal(sys) == pytest.approx(density(x, t, state, sys), abs=1e-10)
+    assert comb.marginal() == pytest.approx(density(x, t, state, sys), abs=1e-10)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.1, 1e-3])
+def test_comb_records_its_hbar(beta):
+    # the comb knows the system it was built in, so its marginal needs no argument
+    sys = SystemParams(m=1.3, l=0.8, hbar=0.9)
+    state = QuantumState(mu=1, beta=beta)
+    for x_frac, t_frac in ((0.07, 0.0), (0.5, 0.29), (0.93, 0.88)):
+        x, t = x_frac * sys.l, t_frac * period(state, sys)
+        comb = wigner_comb(x, t, state, sys)
+        assert comb.hbar == sys.hbar
+        assert abs(comb.marginal() - density(x, t, state, sys)) <= 1e-10
+
+
+def test_comb_at_large_beta_stays_finite():
+    # the row and order weights are each at most 2, so nothing overflows where
+    # exp(+pi beta/2) would (beta > 451); only the atoms |s| <= 1 carry weight
+    state = QuantumState(mu=1, beta=1000.0)
+    comb = wigner_comb(0.3, 0.01, state)
+    weights = np.array([a.weight for a in comb.atoms])
+    assert np.all(np.isfinite(weights))
+    assert comb.marginal() == pytest.approx(density(0.3, 0.01, state), abs=1e-12)
+    assert velocity_from_vlasov(0.3, 0.01, state).value == 0.0
 
 
 @pytest.mark.parametrize("s", [-1, 1])

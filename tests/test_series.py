@@ -1,4 +1,4 @@
-"""The one row kernel behind ``comb_rows`` and ``folded_sum``, against a 30-digit lattice sum."""
+"""The one row kernel behind ``comb_rows`` (and ``folded_sum``), against a 30-digit lattice sum."""
 
 import math
 
@@ -10,8 +10,8 @@ from thetawell.numerics import cutoff_for
 from thetawell.series import build_table, comb_rows, folded_sum
 from thetawell.wavefunction import NATURAL_UNITS, QuantumState, derived_scales
 
-# every parity-valid (s_power, j_power, trig) of folded_sum with a <= 4, b <= 3
-FOLDED = [(a, b, "sin" if b % 2 else "cos") for a in range(5) for b in range(4)]
+# every (s_power, j_power) of folded_sum with a <= 4, b <= 3; b's parity picks cos or sin
+FOLDED = [(a, b) for a in range(5) for b in range(4)]
 
 
 def mp_rows(x, t, state, m_max, sys=NATURAL_UNITS):
@@ -59,39 +59,65 @@ def mp_rows(x, t, state, m_max, sys=NATURAL_UNITS):
 
 @pytest.mark.parametrize("beta", [1.0, 0.1, 1e-3])
 def test_kernel_matches_high_precision_lattice_sum(beta):
-    """Rows and folded sums within 1e-12 of sum |term|, a tolerance fixed before measuring.
+    """Rows, folded sums and row-derivative moments within 1e-12 of sum |term|, fixed before measuring.
 
     1e-12 allows the Chebyshev recurrence's error growth, about j^2 eps at
     the orders j ~ beta^-1/2 that carry the weight, with a wide margin.
+    ``comb_rows`` of order k is d^k C_s/dx^k = (2 pi mu/l)^k R^k_s with the
+    sign of cos(a + k pi/2), -1 for k = 1, 2, since dG_s/dx = 2 pi mu/l;
+    its moments sum_s s^a are what every caller reads.
     """
     state = QuantumState(1, beta)
     t_mu = derived_scales(state).T_mu
     table = build_table(state)
     labels = range(-table.m_max, table.m_max + 1)
+    factors = [(-1.0 if k in (1, 2) else 1.0) * (2.0 * math.pi * state.mu) ** k for k in range(4)]
     for x, t_frac in ((0.0, 0.29), (1.0, 0.61), (0.37, 1.0), (0.81, 0.13)):
         t = t_frac * t_mu
         want, scale = mp_rows(x, t, state, table.m_max)
         got = comb_rows(x, t, state).by_label()
         for k, s in enumerate(labels):
             assert abs(got[k] - want[s, 0]) <= 1e-12 * scale[s, 0], (x, t_frac, s)
-        for a, b, trig in FOLDED:
-            value = folded_sum(table, x, t, state, s_power=a, j_power=b, trig=trig)
+        derivs = [comb_rows(x, t, state, order=k) for k in range(4)]
+        for a, b in FOLDED:
             ref = sum(s**a * want[s, b] for s in labels)
             bound = sum(abs(s) ** a * scale[s, b] for s in labels)
+            value = folded_sum(table, x, t, state, s_power=a, j_power=b)
             assert abs(value - ref) <= 1e-12 * bound, (x, t_frac, a, b)
+            moment = derivs[b].moment(a)
+            assert abs(moment - factors[b] * ref) <= 1e-12 * abs(factors[b]) * bound, (x, t_frac, a, b)
+
+
+def test_comb_rows_order_one_grid_equals_points():
+    state = QuantumState(2, 1e-3)
+    t_mu = derived_scales(state).T_mu
+    xs = np.linspace(0.0, 1.0, 7)
+    ts = np.array([0.0, 0.31, 0.77]) * t_mu
+    grid = comb_rows(xs[:, None], ts[None, :], state, order=1)
+    for i, x in enumerate(xs):
+        for j, t in enumerate(ts):
+            point = comb_rows(float(x), float(t), state, order=1)
+            assert np.array_equal(point.plus, grid.plus[:, i, j])
+            assert np.array_equal(point.minus, grid.minus[:, i, j])
+            for a in range(4):
+                assert point.moment(a) == grid.moment(a)[i, j]
+
+
+def test_comb_rows_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="order"):
+        comb_rows(0.3, 0.0, QuantumState(1, 0.1), order=-1)
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.1, 1e-3])
 def test_table_matches_loop_enumeration(beta):
-    """The table's terms, bits and order equal a loop over the lattice, center-out.
+    """The table's terms and bits equal a loop over the lattice, sigma-major.
 
-    The benchmark counts these terms per rung; ``dense`` holds each weight
-    once per row sign, so times the +-sigma fold it is ``w`` again, exactly.
+    The benchmark counts these terms per rung, so only the set of terms
+    matters to it; no route of the package reads the table.
     """
     state = QuantumState(1, beta)
     m_max = 2 * cutoff_for(beta) + 1
     pairs = [(sg, it) for sg in range(m_max + 1) for it in range((sg + 1) % 2, m_max - sg + 1, 2)]
-    pairs.sort(key=lambda p: p[0] ** 2 + p[1] ** 2)  # stable, as the table's argsort
     sigma, iota = np.array(pairs).T
     fold = np.where(sigma > 0, 2.0, 1.0) * np.where(iota > 0, 2.0, 1.0)
     squares = sigma.astype(float) ** 2 + iota.astype(float) ** 2
@@ -100,5 +126,3 @@ def test_table_matches_loop_enumeration(beta):
     assert table.m_max == m_max
     assert np.array_equal(table.sigma, sigma) and np.array_equal(table.iota, iota)
     assert np.array_equal(table.w, w)
-    assert np.array_equal(table.dense[iota, sigma] * np.where(sigma > 0, 2.0, 1.0), w)
-    assert np.count_nonzero(table.dense) == w.size
