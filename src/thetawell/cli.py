@@ -6,6 +6,12 @@ CSV starts with ``#``-prefixed metadata lines echoing the resolved
 configuration and the units of each column; pole and node samples serialize
 with an empty value and a tag, never as fake numbers.
 
+Tables are written column by column (``_table_text``): a column of plain
+floats is tokenized by one ``float.__repr__`` pass, every other column cell by
+cell through ``_fmt`` or ``_json_token``, and the text is one join of the
+token lists with fixed separators.  JSON output equals
+``json.dumps(rows, indent=1)`` of the row dicts, byte for byte.
+
 Configuration precedence: command-line flags beat a ``--config`` key=value
 file, which beats the ``THETAWELL_TOL`` environment variable, which beats the
 built-in defaults.
@@ -18,7 +24,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -27,10 +35,10 @@ import numpy as np
 
 from .density import averaged_density, density, period
 from .numerics import DEFAULT_TRUNCATION, FieldSample, FieldTag, Truncation, TruncationOverflowError
-from .phase_space import DENSITY_FLOOR, comb_atoms, moments, velocity_field
+from .phase_space import DENSITY_FLOOR, _mean_energy, comb_atoms, velocity_field
 from .thermo import gibbs_table
 from .verification import run_all_checks
-from .wavefunction import QuantumState, SystemParams
+from .wavefunction import QuantumState, SystemParams, jet_forms
 
 __all__ = ["JobConfig", "run", "main"]
 
@@ -270,23 +278,54 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+def _tokens(fmt: str, values: list) -> list[str]:
+    """The text of every value in a column: ``_json_token`` or ``_fmt`` of each.
+
+    A column of plain Python floats takes one C-level ``float.__repr__`` pass,
+    mapped to the JSON spellings only if some value is not finite; every other
+    column (ints, bools, strings, None, float subclasses, mixed) goes value by
+    value, so equal values of different kinds keep their own tokens.
+    """
+    if set(map(type, values)) <= {float}:
+        tokens = list(map(float.__repr__, values))
+        if fmt == "json" and not all(map(math.isfinite, values)):
+            tokens = list(map(_JSON_NONFINITE.get, tokens, tokens))
+        return tokens
+    return list(map(_json_token if fmt == "json" else _fmt, values))
+
+
 def _table_text(fmt: str, columns: dict[str, _Column], meta: list[str]) -> str:
     """The table as CSV (``meta``, a header, one line per row) or as ``json.dumps(rows, indent=1)``.
 
-    Each column is turned into tokens once; then every row fills one template.
+    Each column is tokenized once (``_tokens``); an indexed column's tokens
+    are then gathered by its index.  The text is one ``"".join`` that
+    interleaves the token lists with fixed separators, head and tail
+    included, so no row is formatted on its own and the body is never copied.
     """
-    token = _json_token if fmt == "json" else _fmt
     cells = []
     for column in columns.values():
-        tokens = list(map(token, column.values))
+        tokens = _tokens(fmt, column.values)
         if column.index is not None:
             tokens = np.array(tokens, dtype=object)[column.index].tolist()
         cells.append(tokens)
     if fmt == "json":
-        fields = ",\n".join(f"  {json.dumps(name)}: %s" for name in columns)
-        rows = list(map(f" {{\n{fields}\n }}".__mod__, zip(*cells)))
-        return "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"
-    return "\n".join([*meta, ",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+        if not cells[0]:
+            return "[]"
+        first, *rest = (f"  {json.dumps(name)}: " for name in columns)
+        head, lead, tail = f"[\n {{\n{first}", f"\n }},\n {{\n{first}", "\n }\n]"
+        separators = [f",\n{key}" for key in rest]
+    else:
+        head = "\n".join([*meta, ",".join(columns), ""])
+        if not cells[0]:
+            return head
+        lead, tail = "\n", "\n"
+        separators = [","] * (len(cells) - 1)
+    # row r is: its lead (the head for row 0), then token, separator, token, ...
+    leads = itertools.chain([head], itertools.repeat(lead))
+    streams = [leads, cells[0]]
+    for separator, tokens in zip(separators, cells[1:]):
+        streams += [itertools.repeat(separator), tokens]
+    return "".join(itertools.chain(itertools.chain.from_iterable(zip(*streams)), [tail]))
 
 
 def _meta_lines(config: JobConfig, sys_params: SystemParams, columns: list[str], units: dict[str, str]) -> list[str]:
@@ -339,7 +378,7 @@ def _field_table(config: JobConfig) -> tuple[dict[str, _Column], dict[str, str]]
     grid_fields = {
         "density": ("1/length", clamped_density),
         "velocity": ("length/time", lambda x, t: velocity_field(x, t, state, sys_params, trunc)),
-        "energy": ("energy", lambda x, t: moments(x, t, state, sys_params, trunc).energy_density),
+        "energy": ("energy", lambda x, t: _mean_energy(jet_forms(x, t, state, sys_params, trunc, order=2), sys_params)),
     }
     if config.command in grid_fields:
         value_unit, field = grid_fields[config.command]
@@ -433,7 +472,10 @@ def _run_verify(config: JobConfig) -> tuple[str, int]:
 
 
 def run(config: JobConfig) -> int:
-    """Execute one job; returns the process exit code."""
+    """Execute one job; returns the process exit code.
+
+    An output path that cannot be opened or written raises ``ConfigError``.
+    """
     config.validate()
     if config.command == "verify":
         text, code = _run_verify(config)
@@ -446,8 +488,11 @@ def run(config: JobConfig) -> int:
     if config.out_path is None:
         sys.stdout.write(text)
     else:
-        with open(config.out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(config.out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {config.out_path}: {exc.strerror or exc}") from None
     return code
 
 

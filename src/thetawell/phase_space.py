@@ -152,6 +152,16 @@ def _m3_form(j: JetForms, sys: SystemParams):
     return -0.25 * (sys.hbar / sys.m) ** 3 * (j.im(0, 3) - 3.0 * j.im(1, 2))
 
 
+def _mean_energy(j: JetForms, sys: SystemParams) -> FieldSample:
+    """Mean kinetic energy per unit probability, (m/2) M2 / f, from an order-2 (or higher) jet.
+
+    Tagged as a pole where the density is below the floor (walls, nodes).
+    """
+    f = j.re(0, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return tagged(0.5 * sys.m * _m2_form(j, sys) / f, f >= _floor_for(sys), FieldTag.POLE)
+
+
 def flux(
     x,
     t,
@@ -307,7 +317,6 @@ def moments(
     defined = f >= _floor_for(sys)
     with np.errstate(divide="ignore", invalid="ignore"):
         v = np.array(phi / f)
-        energy = tagged(0.5 * sys.m * m2 / f, defined, FieldTag.POLE)
     if not np.all(defined):
         xb, tb = np.broadcast_arrays(x, t)
         v[~defined] = _probe_velocity(xb[~defined], tb[~defined], state, sys, trunc)
@@ -318,7 +327,7 @@ def moments(
         flux=_unbox(phi),
         pressure=_unbox(p11),
         heat_flux=_unbox(p111),
-        energy_density=energy,
+        energy_density=_mean_energy(j, sys),
     )
 
 

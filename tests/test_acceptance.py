@@ -336,7 +336,7 @@ def test_double_avg_energy_makes_one_grid_call_per_state(monkeypatch):
 
 @pytest.mark.parametrize(
     "command,field",
-    [("density", "density"), ("velocity", "velocity_field"), ("energy", "moments"), ("wigner", "comb_rows")],
+    [("density", "density"), ("velocity", "velocity_field"), ("energy", "jet_forms"), ("wigner", "comb_rows")],
 )
 def test_cli_field_command_makes_one_grid_call(command, field, monkeypatch, capsys):
     # wigner reaches comb_rows through phase_space.comb_atoms, the atoms' one route

@@ -2,9 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetawell import cli
 from thetawell.cli import ConfigError, JobConfig, main
@@ -284,6 +287,16 @@ def test_o1_term_commands_need_no_cutoff(capsys):
     assert "truncation overflow" in err
 
 
+def test_unwritable_out_exits_1(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, ["density", "--grid-x", "2", "--grid-t", "2", "--out", str(target)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"thetawell: cannot write {target}: ")
+    assert "Traceback" not in err
+    assert not target.parent.exists()
+
+
 def test_help_exits_0(capsys):
     code, out, _ = run_cli(capsys, ["--help"])
     assert code == 0
@@ -416,6 +429,87 @@ def test_writer_edge_cells(fmt):
 def test_writer_empty_table():
     assert cli._table_text("json", {"x": cli._Column([])}, []) == json.dumps([], indent=1)
     assert cli._table_text("csv", {"x": cli._Column([])}, ["# none"]) == _reference_emit("csv", ["x"], [], ["# none"])
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+_CELL_KINDS = {
+    "float": _FLOATS,
+    "float-or-none": st.one_of(_FLOATS, st.none()),
+    "mixed": st.one_of(
+        _FLOATS, st.integers(-(2**64), 2**64), st.booleans(), st.text(max_size=6), st.none()
+    ),
+    "float64": st.one_of(_FLOATS.map(np.float64), _FLOATS),
+}
+
+
+@st.composite
+def _tables(draw):
+    """(columns, reference rows, meta): 0-40 rows, each column of one kind, plain or indexed."""
+    n = draw(st.integers(0, 40))
+    names = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    columns = {}
+    for name in names:
+        cells = _CELL_KINDS[draw(st.sampled_from(sorted(_CELL_KINDS)))]
+        if draw(st.booleans()):
+            values = draw(st.lists(cells, min_size=n, max_size=n))
+            columns[name] = cli._Column(values)
+        else:  # indexed: positions repeat by index, never merged by value
+            values = draw(st.lists(cells, min_size=1, max_size=6))
+            index = draw(st.lists(st.integers(0, len(values) - 1), min_size=n, max_size=n))
+            columns[name] = cli._Column(values, np.array(index, dtype=int))
+    rows = [
+        {name: c.values[r if c.index is None else c.index[r]] for name, c in columns.items()} for r in range(n)
+    ]
+    meta = draw(st.lists(st.text(alphabet=st.characters(exclude_characters="\n\r"), max_size=8), max_size=2))
+    return columns, rows, meta
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables(), fmt=st.sampled_from(["csv", "json"]))
+def test_writer_matches_reference_on_random_tables(table, fmt):
+    columns, rows, meta = table
+    assert cli._table_text(fmt, columns, meta) == _reference_emit(fmt, list(columns), rows, meta)
+
+
+def test_writer_peak_memory_is_bounded_by_its_text():
+    """The README ``wigner --format json`` table peaks at most 3x its text under tracemalloc.
+
+    The token lists and the one join's item list are what the writer holds
+    beside the text; a per-row string or a copy of the body would exceed it.
+    """
+    argv = ["wigner", "--grid-x", "32", "--grid-t", "8", "--format", "json"]
+    config = cli._build_config(cli._make_parser().parse_args(argv))
+    columns, units = cli._field_table(config)
+    meta = cli._meta_lines(config, config.system(), list(columns), units)
+    tracemalloc.start()
+    try:
+        text = cli._table_text("json", columns, meta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text), (peak, len(text))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [WRITER_CASES[4], ["energy", "--beta", "0.2"], ["energy", "--mu", "2", "--beta", "0.1"], ["energy", "--beta", "0.02"]],
+    ids=["writer-case", "readme", "mu2-beta0.1", "beta0.02"],
+)
+def test_energy_field_equals_moment_set(argv):
+    """The energy command's field, from an order-2 jet, is ``moments(...).energy_density`` bit for bit."""
+    config = cli._build_config(cli._make_parser().parse_args(argv))
+    sys_params, trunc = config.system(), config.truncation()
+    state = QuantumState(config.mu, config.beta)
+    xs, ts = cli._grids(config, sys_params)
+    want = moments(xs[None, :], ts[:, None], state, sys_params, trunc).energy_density
+    assert (want.tag == FieldTag.POLE).any() and (want.tag == FieldTag.FINITE).any()
+    columns, _ = cli._field_table(config)
+    tags = np.array(columns["tag"].values, dtype=object)[columns["tag"].index]
+    assert tags.tolist() == [str(tag) for tag in want.tag.ravel().tolist()]
+    finite = want.tag.ravel() == FieldTag.FINITE
+    want_values = np.where(finite, want.value.ravel(), None).tolist()
+    assert list(map(repr, columns["value"].values)) == list(map(repr, want_values))  # repr keeps every bit
 
 
 # ---------------------------------------------------------------- verify
