@@ -471,6 +471,11 @@ def _run_verify(config: JobConfig) -> tuple[str, int]:
     return text, 0 if all(r.passed for r in results) else 3
 
 
+# characters per write to --out: a text file encodes each write whole, so
+# one write of a whole table would hold a second, encoded copy of it
+_WRITE_CHARS = 1 << 16
+
+
 def run(config: JobConfig) -> int:
     """Execute one job; returns the process exit code.
 
@@ -490,7 +495,7 @@ def run(config: JobConfig) -> int:
     else:
         try:
             with open(config.out_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(text[lo : lo + _WRITE_CHARS] for lo in range(0, len(text), _WRITE_CHARS))
         except OSError as exc:
             raise ConfigError(f"cannot write {config.out_path}: {exc.strerror or exc}") from None
     return code

@@ -24,6 +24,7 @@ from .phase_space import (
     DENSITY_FLOOR,
     _m2_form,
     _m3_form,
+    _mean_energy,
     comb_atoms,
     flux,
     moment_law_residual,
@@ -478,7 +479,7 @@ def comb_window_masses(
 def _check_phenomena(sys: SystemParams, trunc: Truncation, state: QuantumState) -> CheckResult:
     t_mu = period(state, sys)
     xs, ts = np.linspace(0.02 * sys.l, 0.98 * sys.l, 49), np.linspace(0.0, t_mu, 13)
-    e = moments(xs[None, :], ts[:, None], state, sys, trunc).energy_density
+    e = _mean_energy(jet_forms(xs[None, :], ts[:, None], state, sys, trunc, order=2), sys)
     min_energy = float(np.min(e.value[e.is_finite], initial=math.inf))
 
     masses_t0, masses_avg = comb_window_masses(sys, trunc)

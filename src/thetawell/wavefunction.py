@@ -185,14 +185,15 @@ def _phase_coords(x, t, state: QuantumState, sys: SystemParams):
     return np.ravel(u), np.ravel(w), shape
 
 
-# points x modes per psi_jet chunk: 576 KiB of work arrays at order 3 and
-# 704 KiB at order 5, so callers pass whole grids; larger chunks cost memory
-# and save no time
-_JET_BUDGET = 1 << 12
+# term x point entries of psi_jet's work array per block (256 KiB); a block
+# holds budget // (2 (order + 1) min(K + 1, _SUM_STRIDE)) points.  Larger
+# blocks measured slower on the registry: each fresh array is paged in anew
+_JET_BUDGET = 1 << 15
 
-# rows x modes of psi_jet's per-x and per-t trig tables at once, each entry a
-# cos/sin pair: 256 KiB, less than one chunk's work arrays at orders >= 1
-_TABLE_BUDGET = 1 << 14
+# psi_jet adds up to this many modes (beta >= 1.6e-4) strictly in mode order
+# and more as this many running sums (``_mode_sum``), so a block may take its
+# modes a run at a time and one point's sum is not one long chain of adds
+_SUM_STRIDE = 256
 
 
 @functools.lru_cache(maxsize=64)
@@ -219,104 +220,89 @@ def _jet_table(
     return half_m, quarter_m2, weights
 
 
-def _order0_sums(u, w, half_m: np.ndarray, quarter_m2: np.ndarray, w0: np.ndarray):
-    """Real and imaginary parts of the order-0 jet, summed over the last (mode) axis.
+def _trig(phases, factor: np.ndarray, sin: bool = True) -> np.ndarray:
+    """cos and sin (or the cos alone) of phases * factor, as a (2 or 1, K + 1, *phases.shape) table.
 
-    sum over m of (cos((u/2) m) w0) exp(-i(w/4) m^2): three transcendentals
-    per term, and each part one pairwise ``np.add.reduce`` over the K + 1
-    contiguous modes.  u and w broadcast against the modes, so one point
-    passes floats and a chunk of p points passes (p, 1) columns; the
-    arithmetic per term, and so every bit, is the same either way.
+    Taken with each phase's modes adjacent, where libm's cos and sin run
+    about twice as fast as across phases, then copied modes first.
     """
-    amp = np.cos(u * half_m) * w0
-    ang = w * quarter_m2
-    return np.add.reduce(amp * np.cos(ang), axis=-1), np.add.reduce(amp * np.sin(ang), axis=-1)
+    if isinstance(phases, float):  # one phase: its row is the table
+        ang = phases * factor
+        table = np.empty((1 + sin, factor.size))
+        np.cos(ang, out=table[0])
+        if sin:
+            np.sin(ang, out=table[1])
+        return table
+    ang = phases.reshape(-1, 1) * factor
+    table = np.empty((1 + sin, factor.size, *phases.shape))
+    rows = table.reshape(1 + sin, factor.size, -1)
+    rows[0] = np.cos(ang).T
+    if sin:
+        rows[1] = np.sin(ang, out=ang).T
+    return table
 
 
-def _jet_sums(xs: np.ndarray, rot: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """Orders 0..n-1 (n >= 2) of p points from their trig rows, as a (p, n) complex array.
+def _mode_sum(chunks) -> np.ndarray:
+    """Terms (n, 2, modes, *points) summed over the modes, in one order for every layout.
 
-    ``xs`` holds cos and sin of (u/2) m and ``rot`` cos and sin of -(w/4) m^2,
-    each (p, 2, K + 1): xs times the weights, times rot, and one pairwise row
-    sum per part over the modes.
+    ``chunks`` yields the terms of all modes at once, or of one run of
+    S = ``_SUM_STRIDE`` modes at a time.  Running sum c adds mode c of each
+    run in turn, and the S running sums are then added in order, so up to S
+    modes the order is m = 1, 3, 5, ...  Each step is an ``np.add.reduce``
+    over an axis followed by two or more contiguous values, which numpy adds
+    row after row, from -0.0 so that signed zeros keep their sign; one
+    point's last step would collapse to numpy's pairwise 1-D sum, so it
+    takes ``np.add.accumulate``, which adds in order.
     """
-    p, n_modes = xs.shape[0], xs.shape[-1]
-    if n <= 2:
-        xw = xs[:, :n] * weights[:n]
+    chunks = iter(chunks)
+    sums = next(chunks)
+    width = sums.shape[2]
+    if width > _SUM_STRIDE:  # every mode at once: the runs, then the tail
+        head = width - width % _SUM_STRIDE
+        runs = sums[:, :, :head].reshape(*sums.shape[:2], -1, _SUM_STRIDE, *sums.shape[3:])
+        tail, sums = sums[:, :, head:], np.add.reduce(runs, axis=2, initial=-0.0)
+        sums[:, :, : tail.shape[2]] += tail
+    for terms in chunks:
+        sums[:, :, : terms.shape[2]] += terms
+    if math.prod(sums.shape[3:]) == 1:
+        return np.add.accumulate(sums, axis=2)[:, :, -1]
+    return np.add.reduce(sums, axis=2, initial=-0.0)
+
+
+def _jet_terms(x_trig: np.ndarray, rot: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Terms (n, 2, modes, *points) of orders 0..n-1: ((cos or sin) W_k) times (cos, sin), in that order.
+
+    ``x_trig`` holds cos (and sin) of (u/2) m, ``rot`` cos and sin of
+    -(w/4) m^2, and the odd orders take the sin.
+    """
+    shape = (weights.shape[1], *(1,) * (x_trig.ndim - 2))
+    if n == 1:
+        xw = x_trig * weights[0].reshape(shape)
     else:  # row pairs (even, odd order) take (cos, sin)
         r = (n + 1) // 2
-        pairs = weights[: 2 * r].reshape(r, 2, n_modes)
-        xw = (xs[:, None] * pairs).reshape(p, 2 * r, n_modes)[:, :n]
-    sums = np.add.reduce(xw[:, :, None, :] * rot[:, None, :, :], axis=-1)
-    return sums.view(complex)[..., 0]
+        xw = weights[: 2 * r].reshape(r, 2, *shape) * x_trig
+        xw = xw.reshape(2 * r, *xw.shape[2:])[:n]
+    return xw[:, None] * rot
 
 
-def _trig_rows(phases: np.ndarray, factor: np.ndarray, sin: bool = True) -> np.ndarray:
-    """A psi_jet table: cos and sin of phase * factor, a (2, K + 1) row per phase, or the cos alone."""
-    if not sin:
-        ang = phases[:, None] * factor
-        return np.cos(ang, out=ang)
-    rows = np.empty((phases.size, 2, factor.size))
-    ang = np.multiply(phases[:, None], factor, out=rows[:, 1])  # the sin slot, in place
-    np.cos(ang, out=rows[:, 0])
-    np.sin(ang, out=ang)
-    return rows
+def _blocks(shape: tuple, points: int):
+    """Index tuples of consecutive C-order blocks of ``shape`` (one axis or more), each within ``points`` (or one point).
 
-
-def _table_slabs(ix: np.ndarray, it: np.ndarray, n_x: int, n_t: int, rows: int):
-    """Consecutive point ranges whose x and t tables fit ``rows`` rows together.
-
-    Yields (lo, hi, x0, x1, t0, t1): points lo..hi-1 read x rows x0..x1-1 and
-    t rows t0..t1-1.  A grid within budget is one range.  Otherwise each range
-    is the longest run whose index spans fit; S consecutive points are S
-    distinct (x, t) pairs, so no run that fits is longer than rows^2/4.
+    Whole leading rows while they fit, else one leading index at a time with
+    the rest split the same way.
     """
-    if n_x + n_t <= rows:
-        yield 0, ix.size, 0, n_x, 0, n_t
-        return
-    lo = 0
-    while lo < ix.size:
-        hi = min(ix.size, lo + rows * rows // 4 + 1)
-        x0, x1 = np.minimum.accumulate(ix[lo:hi]), np.maximum.accumulate(ix[lo:hi])
-        t0, t1 = np.minimum.accumulate(it[lo:hi]), np.maximum.accumulate(it[lo:hi])
-        size = max(1, int(np.count_nonzero(x1 - x0 + t1 - t0 + 2 <= rows)))
-        end = size - 1
-        yield lo, lo + size, int(x0[end]), int(x1[end]) + 1, int(t0[end]), int(t1[end]) + 1
-        lo += size
+    inner = math.prod(shape[1:])
+    if inner <= points:
+        step = max(1, points // max(inner, 1))
+        yield from ((slice(lo, lo + step),) for lo in range(0, shape[0], step))
+    else:
+        for i in range(shape[0]):
+            yield from ((slice(i, i + 1), *rest) for rest in _blocks(shape[1:], points))
 
 
-def _grid_jet(x, t, shape, state, sys, half_m, quarter_m2, weights, n: int) -> np.ndarray:
-    """psi_jet's (points, n) sums on a grid, from trig tables over the distinct x and t.
-
-    cos/sin of (u/2) m is taken once per x value and cos/sin of -(w/4) m^2
-    once per t value, then gathered per chunk into the same products and row
-    sums as the per-point route, so every bit is the same.  The tables are
-    built per run of points within ``_TABLE_BUDGET`` (``_table_slabs``).
-    """
-    u, w = _axis_phases(x, t, state, sys)
-    ix = np.broadcast_to(np.arange(u.size).reshape(u.shape), shape).ravel()
-    it = np.broadcast_to(np.arange(w.size).reshape(w.shape), shape).ravel()
-    u, w = u.ravel(), w.ravel()
-    n_modes = half_m.size
-    out = np.empty((ix.size, n), dtype=complex)
-    chunk = max(1, _JET_BUDGET // n_modes)
-    for lo, hi, x0, x1, t0, t1 in _table_slabs(ix, it, u.size, w.size, _TABLE_BUDGET // n_modes):
-        t_rows = _trig_rows(w[t0:t1], quarter_m2)
-        if n == 1:  # cos((u/2) m) w0, as _order0_sums takes it
-            x_rows = _trig_rows(u[x0:x1], half_m, sin=False)
-            x_rows *= weights[0]
-        else:
-            x_rows = _trig_rows(u[x0:x1], half_m)
-        for c in range(lo, hi, chunk):
-            e = min(c + chunk, hi)
-            xs = np.take(x_rows, ix[c:e] - x0, axis=0)
-            rot = np.take(t_rows, it[c:e] - t0, axis=0)
-            if n == 1:
-                sums = np.add.reduce(xs[:, None, :] * rot, axis=-1)
-                out.real[c:e, 0], out.imag[c:e, 0] = sums[:, 0], sums[:, 1]
-            else:
-                out[c:e] = _jet_sums(xs, rot, weights, n)
-    return out
+def _along(modes: slice, idx: tuple, shape: tuple) -> tuple:
+    """Block ``idx``, modes ``modes``, of the table of an input of ``shape``: its broadcast axes stay whole."""
+    return (slice(None), modes, *(s if shape[d] != 1 else slice(None) for d, s in enumerate(idx)))
 
 
 def psi_jet(
@@ -338,50 +324,49 @@ def psi_jet(
 
     The harmonics m and -m are summed as one term, 2 cos or 2i sin of
     (u/2) m, so psi is exactly real at t = 0 and the flux vanishes there
-    exactly.  Order 0 reads only the cos, so it costs three transcendentals
-    per term (``_order0_sums``, which scalar ``psi`` calls directly); higher
-    orders take four.  Each point is reduced by a row sum over the modes,
-    never a matrix product, so a grid call equals per-point calls bit for
-    bit, and entry 0 is the same at every order.
-
-    The angle (u/2) m depends on x alone and (w/4) m^2 on t alone.  When x
-    and t hold at most half as many values as their broadcast has points
-    (x.size + t.size <= points // 2, a grid), their trig is taken once per
-    value and gathered (``_grid_jet``); scattered points and single points
-    take it per point.
+    exactly.  The angle (u/2) m depends on x alone and (w/4) m^2 on t alone,
+    so their cos and sin are taken once per entry of x and of t as given
+    (``_trig``), in tables with the K + 1 modes ahead of the points; order 0
+    reads only the cos of (u/2) m, three transcendentals per term.  Order k
+    is the broadcast product ((cos or sin) W_k) (cos, sin) of -(w/4) m^2,
+    summed over the modes row by row in one fixed order (``_mode_sum``),
+    never by a matrix product, so a grid, scattered points and one point
+    give the same bits in any orientation, and entry 0 is the same at every
+    order.  The products are formed per block of the broadcast shape within
+    ``_JET_BUDGET`` entries, so a grid needs no gather; an input with one
+    entry per point has its trig taken per block, a smaller one once.
     """
     if order not in range(6):
         raise ValueError(f"order must be 0, 1, 2, 3, 4 or 5, got {order!r}")
     _check_domain(x, sys)
     half_m, quarter_m2, weights = _jet_table(state.beta, trunc, state.mu, sys.l)
-    n = order + 1
-    shape = np.broadcast_shapes(np.shape(x), np.shape(t))
-    if np.size(x) + np.size(t) <= math.prod(shape) // 2:
-        out = _grid_jet(x, t, shape, state, sys, half_m, quarter_m2, weights, n)
-        return out.T.reshape((n, *shape))
-    n_modes = half_m.size
-    uf, wf, shape = _phase_coords(x, t, state, sys)
-    out = np.empty((uf.size, n), dtype=complex)
-    chunk = max(1, _JET_BUDGET // n_modes)
-    for lo in range(0, uf.size, chunk):
-        hi = min(lo + chunk, uf.size)
-        if n == 1:
-            out.real[lo:hi, 0], out.imag[lo:hi, 0] = _order0_sums(
-                uf[lo:hi, None], wf[lo:hi, None], half_m, quarter_m2, weights[0]
-            )
-            continue
-        p = hi - lo
-        # angles [-(w/4) m^2, (u/2) m]; the odd orders need sin((u/2) m) too,
-        # so cos and sin of both in one call each
-        ang = np.empty((p, 2, n_modes))
-        np.multiply(wf[lo:hi, None], quarter_m2, out=ang[:, 0])
-        np.multiply(uf[lo:hi, None], half_m, out=ang[:, 1])
-        trig = np.empty((p, 2, 2, n_modes))
-        np.cos(ang, out=trig[:, 0])
-        np.sin(ang, out=trig[:, 1])
-        # cos and sin of (u/2) m; cos and -sin of (w/4) m^2, i.e. exp(-i(w/4) m^2)
-        out[lo:hi] = _jet_sums(trig[:, :, 1], trig[:, :, 0], weights, n)
-    return out.T.reshape((n, *shape))
+    u, w = _axis_phases(x, t, state, sys)
+    shape = np.broadcast_shapes(u.shape, w.shape)
+    u, w = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in (u, w))
+    n, n_modes, size = order + 1, half_m.size, math.prod(shape)
+    out = np.empty((n, *shape), dtype=complex)
+    if size == 1:  # one point: its tables are single rows
+        sums = _mode_sum([_jet_terms(_trig(u.item(), half_m, n > 1), _trig(w.item(), quarter_m2), weights, n)])
+        out.real.flat, out.imag.flat = sums[:, 0], sums[:, 1]
+        return out
+    # an input with fewer entries than points is tabled once, else per block
+    x_trig = None if u.size == size else _trig(u, half_m, n > 1)
+    t_trig = None if w.size == size else _trig(w, quarter_m2)
+
+    def chunks(idx: tuple, width: int):
+        for lo in range(0, n_modes, width):
+            m = slice(lo, lo + width)
+            xs = _trig(u[idx], half_m[m], n > 1) if x_trig is None else x_trig[_along(m, idx, u.shape)]
+            rot = _trig(w[idx], quarter_m2[m]) if t_trig is None else t_trig[_along(m, idx, w.shape)]
+            yield _jet_terms(xs, rot, weights[:, m], n)
+
+    for idx in _blocks(shape, max(1, _JET_BUDGET // (2 * n * min(n_modes, _SUM_STRIDE)))):
+        # every mode at once where they fit, else a run of _SUM_STRIDE at a time
+        fits = 2 * n * n_modes * out[(0, *idx)].size <= _JET_BUDGET
+        sums = _mode_sum(chunks(idx, n_modes if fits else _SUM_STRIDE))
+        out.real[(slice(None), *idx)] = sums[:, 0]
+        out.imag[(slice(None), *idx)] = sums[:, 1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -508,8 +493,8 @@ def psi(
     per-point calls bit for bit.  Above it, the order-0 ``psi_jet`` over
     the square root of l * scaled_norm_sum, part by part (a complex array
     division rounds otherwise); there a float x and t (``np.float64``
-    too) skip the grid machinery: one cached lookup and one ``_order0_sums``
-    call on the mode rows, with the same bits.  Boundary evaluations return
+    too) skip the tables: one cached lookup, then the jet's products over
+    the mode rows and its ``_mode_sum``, with the same bits.  Boundary evaluations return
     the raw series value, which cancels to the truncation floor rather than
     being forced to exactly 0.  Broadcasts over x and t.
     """
@@ -524,7 +509,13 @@ def psi(
     if isinstance(x, float) and isinstance(t, float):
         _check_domain(x, sys)
         half_m, quarter_m2, w0, w_scale, root = _point_constants(state, sys, trunc)
-        re, im = _order0_sums(_x_phase(x, state, sys), w_scale * t, half_m, quarter_m2, w0)
+        # psi_jet's one-point terms at order 0, built with fewer numpy calls
+        amp = np.cos(_x_phase(x, state, sys) * half_m) * w0
+        ang = (w_scale * t) * quarter_m2
+        terms = np.empty((1, 2, ang.size))
+        np.multiply(amp, np.cos(ang), out=terms[0, 0])
+        np.multiply(amp, np.sin(ang, out=ang), out=terms[0, 1])
+        ((re, im),) = _mode_sum([terms]).tolist()
         return complex(re / root, im / root)
     theta_scaled = psi_jet(x, t, state, sys, trunc)[0]
     root = math.sqrt(sys.l * scaled_norm_sum(state, trunc))

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from thetawell import cli
 from thetawell.cli import ConfigError, JobConfig, main
-from thetawell.density import averaged_density, density
-from thetawell.numerics import FieldTag, cutoff_for
-from thetawell.phase_space import moments, velocity_field, wigner_comb
+from thetawell.density import averaged_density, density, period
+from thetawell.numerics import DEFAULT_TRUNCATION, FieldTag, cutoff_for
+from thetawell.phase_space import _mean_energy, moments, velocity_field, wigner_comb
 from thetawell.thermo import entropy, gibbs_params, mean_energy_gibbs
 from thetawell.verification import CheckResult
-from thetawell.wavefunction import NATURAL_UNITS, QuantumState
+from thetawell.wavefunction import NATURAL_UNITS, QuantumState, jet_forms
 
 
 def run_cli(capsys, argv):
@@ -170,6 +170,17 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert code == 0
     assert silent == ""
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_out_file_longer_than_one_write_matches_stdout_bytes(capsys, tmp_path):
+    """--out writes the table a slice at a time; the file still holds stdout's bytes exactly."""
+    argv = ["wigner", "--grid-x", "16", "--grid-t", "4", "--format", "json"]
+    _, out, _ = run_cli(capsys, argv)
+    assert len(out) > 2 * cli._WRITE_CHARS and len(out) % cli._WRITE_CHARS
+    target = tmp_path / "comb.json"
+    code, silent, _ = run_cli(capsys, argv + ["--out", str(target)])
+    assert (code, silent) == (0, "")
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 # ---------------------------------------------------------------- precedence
@@ -491,25 +502,48 @@ def test_writer_peak_memory_is_bounded_by_its_text():
     assert peak <= 3 * len(text), (peak, len(text))
 
 
+PHENOMENA_GRID = "phenomena"
+
+
 @pytest.mark.parametrize(
     "argv",
-    [WRITER_CASES[4], ["energy", "--beta", "0.2"], ["energy", "--mu", "2", "--beta", "0.1"], ["energy", "--beta", "0.02"]],
-    ids=["writer-case", "readme", "mu2-beta0.1", "beta0.02"],
+    [
+        WRITER_CASES[4],
+        ["energy", "--beta", "0.2"],
+        ["energy", "--mu", "2", "--beta", "0.1"],
+        ["energy", "--beta", "0.02"],
+        PHENOMENA_GRID,
+    ],
+    ids=["writer-case", "readme", "mu2-beta0.1", "beta0.02", "phenomena-grid"],
 )
 def test_energy_field_equals_moment_set(argv):
-    """The energy command's field, from an order-2 jet, is ``moments(...).energy_density`` bit for bit."""
-    config = cli._build_config(cli._make_parser().parse_args(argv))
-    sys_params, trunc = config.system(), config.truncation()
-    state = QuantumState(config.mu, config.beta)
-    xs, ts = cli._grids(config, sys_params)
+    """The energy command's field, from an order-2 jet, is ``moments(...).energy_density`` bit for bit.
+
+    The last case is the phenomena check's 49 x 13 grid at the registry
+    state, through the order-2 jet field that the check reads.
+    """
+    if argv == PHENOMENA_GRID:
+        state, sys_params, trunc = QuantumState(1, 0.1), NATURAL_UNITS, DEFAULT_TRUNCATION
+        xs = np.linspace(0.02 * sys_params.l, 0.98 * sys_params.l, 49)
+        ts = np.linspace(0.0, period(state, sys_params), 13)
+        got = _mean_energy(jet_forms(xs[None, :], ts[:, None], state, sys_params, trunc, order=2), sys_params)
+        tags = got.tag.ravel().astype(str)
+        values = np.where(got.tag.ravel() == FieldTag.FINITE, got.value.ravel(), None).tolist()
+    else:
+        config = cli._build_config(cli._make_parser().parse_args(argv))
+        sys_params, trunc = config.system(), config.truncation()
+        state = QuantumState(config.mu, config.beta)
+        xs, ts = cli._grids(config, sys_params)
+        columns, _ = cli._field_table(config)
+        tags = np.array(columns["tag"].values, dtype=object)[columns["tag"].index].astype(str)
+        values = columns["value"].values
     want = moments(xs[None, :], ts[:, None], state, sys_params, trunc).energy_density
-    assert (want.tag == FieldTag.POLE).any() and (want.tag == FieldTag.FINITE).any()
-    columns, _ = cli._field_table(config)
-    tags = np.array(columns["tag"].values, dtype=object)[columns["tag"].index]
+    # the CLI grids reach the walls, where the field is a pole; the phenomena grid stops short of them
+    assert (want.tag == FieldTag.POLE).any() == (argv != PHENOMENA_GRID) and (want.tag == FieldTag.FINITE).any()
     assert tags.tolist() == [str(tag) for tag in want.tag.ravel().tolist()]
     finite = want.tag.ravel() == FieldTag.FINITE
     want_values = np.where(finite, want.value.ravel(), None).tolist()
-    assert list(map(repr, columns["value"].values)) == list(map(repr, want_values))  # repr keeps every bit
+    assert list(map(repr, values)) == list(map(repr, want_values))  # repr keeps every bit
 
 
 # ---------------------------------------------------------------- verify

@@ -1,17 +1,20 @@
-"""psi_jet's per-axis trig tables: a grid takes cos/sin once per x and per t value, with the same bits.
+"""psi_jet's per-axis trig tables: cos/sin once per entry of x and of t, and the same bits in any layout.
 
-On a grid the angle (u/2) m depends on x alone and (w/4) m^2 on t alone, so
-``psi_jet`` builds their trig once per distinct value and gathers it per
-point.  These tests pin that every field read from the jet equals its
-per-point (float) call bit for bit in every grid orientation, at the walls,
-at t = 0 and late times, across the truncation range, and when the tables
-are split to stay within their memory budget; and that scattered points
-never build tables while a grid builds each table row once.
+The angle (u/2) m depends on x alone and (w/4) m^2 on t alone, so
+``psi_jet`` takes their trig once per entry of each input and sums each
+point's terms row by row over the modes in one fixed order.  These tests pin
+that every field read from the jet equals its per-point (float, 0-d or
+one-element) call bit for bit in every grid orientation, at the walls, at
+t = 0 and late times, across the truncation range, and when a call is split
+into blocks and runs of modes to stay within its work budget; that trig is
+taken once per input entry; and that numpy's reduction adds rows in the
+order those sums rely on.
 """
 
 import numpy as np
 import pytest
 
+from mode_order import mode_order_sum
 from thetawell import wavefunction
 from thetawell.density import density, density_derivatives, period
 from thetawell.numerics import cutoff_for
@@ -92,10 +95,10 @@ def test_grid_fields_equal_point_bits(beta, mu, sys):
 
 @pytest.mark.parametrize("order", [0, 1, 3, 5])
 def test_split_tables_equal_point_bits(order):
-    """A grid whose tables exceed the budget is split into runs; the bits do not move."""
+    """A grid beyond the work budget is split into blocks and runs of modes; the bits do not move."""
     state = QuantumState(2, 1e-5)
     n_modes = cutoff_for(state.beta) + 1
-    rows = wavefunction._TABLE_BUDGET // n_modes
+    rows = wavefunction._JET_BUDGET // n_modes
     xs = np.linspace(0.0, 1.0, rows + 3)
     ts = np.linspace(0.0, 1.3, 7) * period(state)
     assert xs.size + ts.size > rows  # more rows than one run may hold
@@ -107,56 +110,113 @@ def test_split_tables_equal_point_bits(order):
             assert np.array_equal(_bits(grid[(slice(None), *pos)]), _bits(want)), pos
 
 
-def _count_table_rows(monkeypatch) -> list:
-    """Record the number of phases of each table ``psi_jet`` builds."""
-    real = wavefunction._trig_rows
-    built = []
+def _count_trig(monkeypatch) -> dict:
+    """Record how many (entry, mode) pairs of x and of t ``psi_jet`` takes cos/sin of."""
+    real = wavefunction._trig
+    taken = {"x": 0, "t": 0}
 
     def counted(phases, factor, sin=True):
-        built.append(phases.size)
+        taken["x" if factor[0] > 0.0 else "t"] += np.size(phases) * factor.size  # m/2 > 0 > -m^2/4
         return real(phases, factor, sin)
 
-    monkeypatch.setattr(wavefunction, "_trig_rows", counted)
-    return built
+    monkeypatch.setattr(wavefunction, "_trig", counted)
+    return taken
 
 
-def test_scattered_points_build_no_tables(monkeypatch):
-    built = _count_table_rows(monkeypatch)
-    state = QuantumState(1, 0.1)
-    rng = np.random.default_rng(3)
-    xs, ts = rng.uniform(0.0, 1.0, 200), rng.uniform(0.0, period(state), 200)
-    for order in (0, 3):
-        psi_jet(xs, ts, state, order=order)
-        psi_jet(float(xs[0]), float(ts[0]), state, order=order)
-        psi_jet(xs[:3], ts[:3, None], state, order=order)  # 6 values for 9 points: no grid
-    psi(xs, ts, state)
-    density(xs, ts, state)
-    assert built == []
-
-
-@pytest.mark.parametrize("beta", [0.1, 1e-3])
-def test_grid_builds_each_table_once(monkeypatch, beta):
-    built = _count_table_rows(monkeypatch)
+@pytest.mark.parametrize("beta", [0.1, 1e-3, 1e-6])
+def test_trig_taken_once_per_entry(monkeypatch, beta):
+    """Each entry of x and of t, as given, has its trig taken once per call, whatever the layout."""
+    taken = _count_trig(monkeypatch)
     state = QuantumState(1, beta)
-    xs, ts = np.linspace(0.0, 1.0, 33), np.linspace(0.0, period(state), 9)
-    for order in (0, 2):
-        built.clear()
-        psi_jet(xs[None, :], ts[:, None], state, order=order)
-        assert sorted(built) == [ts.size, xs.size]
-    built.clear()
+    n_modes = cutoff_for(beta) + 1
+    rng = np.random.default_rng(3)
+    xs, ts = rng.uniform(0.0, 1.0, 64), rng.uniform(0.0, period(state), 16)
+    calls = [
+        (xs[None, :], ts[:, None]),
+        (xs[:, None], ts[None, :]),
+        (xs, float(ts[0])),  # a vector of x at one time
+        (float(xs[0]), ts),
+        (xs[:16], ts),  # scattered points
+        (float(xs[0]), float(ts[0])),
+        (xs[:3], ts[:3, None]),
+    ]
+    for order in (0, 3):
+        for x, t in calls:
+            taken.update(x=0, t=0)
+            psi_jet(x, t, state, order=order)
+            assert taken == {"x": np.size(x) * n_modes, "t": np.size(t) * n_modes}, (order, np.shape(x), np.shape(t))
+    taken.update(x=0, t=0)
     density(xs[:, None], ts[None, :], state)
-    assert sorted(built) == [ts.size, xs.size]
+    assert taken == {"x": xs.size * n_modes, "t": ts.size * n_modes}
 
 
-def test_split_tables_stay_within_budget(monkeypatch):
-    built = _count_table_rows(monkeypatch)
-    state = QuantumState(1, 1e-6)
-    n_modes = cutoff_for(state.beta) + 1
-    rows = wavefunction._TABLE_BUDGET // n_modes
-    xs, ts = np.linspace(0.0, 1.0, 64), np.linspace(0.0, period(state), 16)
-    psi_jet(xs[None, :], ts[:, None], state)
-    # tables come in (t rows, x rows) pairs, each pair within the budget, and
-    # still take fewer trig rows than the two angles of every point
-    pairs = list(zip(built[::2], built[1::2]))
-    assert pairs and all(a + b <= rows for a, b in pairs)
-    assert sum(built) < 2 * xs.size * ts.size
+@pytest.mark.parametrize("beta", [0.1, 1e-3, 1e-5])
+@pytest.mark.parametrize("order", [0, 3, 5])
+def test_call_beyond_budget_equals_unsplit_bits(monkeypatch, beta, order):
+    """A call split into blocks, and into runs of modes, equals the same call in one piece bit for bit.
+
+    Both grid orientations and scattered points; the unsplit call has a
+    budget large enough to hold every term at once.
+    """
+    state = QuantumState(2, beta)
+    n_modes = cutoff_for(beta) + 1
+    rng = np.random.default_rng(order)
+    n_x = 3 * wavefunction._JET_BUDGET // (2 * (order + 1) * n_modes * 16) + 5  # a few blocks of 16 rows of t
+    xs = np.linspace(0.0, 1.0, n_x)
+    ts = np.linspace(0.0, 1.3, 16) * period(state)
+    sx, st = rng.uniform(0.0, 1.0, 4 * n_x), rng.uniform(0.0, 2.0, 4 * n_x) * period(state)
+    cases = [(xs[None, :], ts[:, None]), (xs[:, None], ts[None, :]), (sx, st)]
+    split = [psi_jet(x, t, state, order=order) for x, t in cases]
+    assert 2 * (order + 1) * n_modes * xs.size * ts.size > wavefunction._JET_BUDGET
+    monkeypatch.setattr(wavefunction, "_JET_BUDGET", 1 << 40)
+    for (x, t), got in zip(cases, split):
+        assert np.array_equal(_bits(got), _bits(psi_jet(x, t, state, order=order)))
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.1, 1e-4])
+def test_scalar_0d_and_one_element_calls_equal_grid_point(beta):
+    """Float, 0-d and shape-(1,) calls equal the same point inside a grid, bit for bit.
+
+    The grid spans both walls and t = 0, where the sums carry signed zeros.
+    """
+    state = QuantumState(3, beta)
+    xs = np.array(X_FRACS)
+    ts = np.array(T_FRACS) * period(state)
+    grid = {k: psi_jet(xs[:, None], ts[None, :], state, order=k) for k in (0, 2, 5)}
+    grid["psi"] = psi(xs[:, None], ts[None, :], state)
+    grid["density"] = density(xs[:, None], ts[None, :], state)
+    for i, j in np.ndindex(xs.size, ts.size):
+        for x, t in ((float(xs[i]), float(ts[j])), (np.array(xs[i]), np.array(ts[j])), (xs[i : i + 1], ts[j : j + 1])):
+            for name, want in grid.items():
+                if name == "psi":
+                    got = psi(x, t, state)
+                elif name == "density":
+                    got = density(x, t, state)
+                else:
+                    got = psi_jet(x, t, state, order=name)
+                assert np.array_equal(_bits(np.reshape(got, -1)), _bits(np.ravel(want[..., i, j]))), (name, i, j, np.shape(x))
+
+
+@pytest.mark.parametrize("points", [2, 3, 100])
+def test_numpy_reduce_adds_rows_in_order(points):
+    """``np.add.reduce`` over axis 0 of a C-contiguous (K + 1, P) array, P >= 2, adds row after row.
+
+    psi_jet's mode sums (``wavefunction._mode_sum``) rest on this, and on
+    a single point's sum following the same order: a numpy that reorders
+    these adds fails here before any grid-equals-points test does.
+    """
+    rng = np.random.default_rng(points)
+    for n_modes in (7, 11, 102, 1014):
+        terms = rng.standard_normal((n_modes, points)) * 10.0 ** rng.integers(-8, 9, (n_modes, points))
+        terms[:, 0] = -0.0  # a column of signed zeros keeps its sign
+        rows = np.full(points, -0.0)
+        for row in terms:
+            rows = rows + row
+        assert np.array_equal(_bits(np.add.reduce(terms, axis=0, initial=-0.0)), _bits(rows)), n_modes
+        want = mode_order_sum(terms.T, wavefunction._SUM_STRIDE)
+        if n_modes <= wavefunction._SUM_STRIDE:
+            assert np.array_equal(_bits(want), _bits(rows))
+        assert np.array_equal(_bits(wavefunction._mode_sum([terms[None, None]])[0, 0]), _bits(want))
+        for j in range(points):  # P = 1: one point's terms alone
+            one = wavefunction._mode_sum([np.ascontiguousarray(terms[None, None, :, j])])
+            assert np.array_equal(_bits(one[0, 0]), _bits(want[j])), (n_modes, j)

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from thetawell.density import density
 from thetawell.numerics import DEFAULT_TRUNCATION, Truncation, integrate
 from thetawell.theta import ThetaArgs, theta_char
+from mode_order import mode_order_sum
 from thetawell.wavefunction import (
+    _SUM_STRIDE,
     _THETA1_MAX_BETA,
     NATURAL_UNITS,
     QuantumState,
@@ -183,20 +185,28 @@ def mp_psi_jet(x, t, state, sys, order=3):
         return [complex(v) for v in values], [float(s) for s in scales]
 
 
-@pytest.mark.parametrize("beta", [1.0, 0.1, 1e-3])
+@pytest.mark.parametrize("beta", [1.0, 0.1, 1e-3, 1e-5])
 @pytest.mark.parametrize("mu", [1, 3])
 def test_psi_jet_precision_oracle(beta, mu):
-    """Orders 0-3 against a 30-digit sum; tolerance 1e-12 of sum |term|, fixed in advance."""
+    """Orders 0-3 against a 30-digit sum; tolerance 1e-12 of sum |term|, fixed in advance.
+
+    Each point is evaluated alone, inside one grid call over every x and t,
+    and among scattered points.
+    """
     state = QuantumState(mu, beta)
     sys = SystemParams(m=2.0, l=3.0, hbar=0.5)
     t_mu = derived_scales(state, sys).T_mu
     points = [(0.0, 0.0), (0.23, 0.37), (0.5, 0.81), (0.871, 0.05), (1.0, 0.59)]
-    for x_frac, t_frac in points:
-        x, t = x_frac * sys.l, t_frac * t_mu
-        jet = psi_jet(x, t, state, sys, order=3)
-        want, scale = mp_psi_jet(x, t, state, sys)
-        for k in range(4):
-            assert abs(complex(jet[k]) - want[k]) <= 1e-12 * scale[k], (x_frac, t_frac, k)
+    xs = np.array([p[0] for p in points]) * sys.l
+    ts = np.array([p[1] for p in points]) * t_mu
+    grid = psi_jet(xs[:, None], ts[None, :], state, sys, order=3)
+    scattered = psi_jet(xs, ts, state, sys, order=3)
+    for i, (x_frac, t_frac) in enumerate(points):
+        want, scale = mp_psi_jet(xs[i], ts[i], state, sys)
+        routes = {"point": psi_jet(xs[i], ts[i], state, sys, order=3), "grid": grid[:, i, i], "scattered": scattered[:, i]}
+        for route, jet in routes.items():
+            for k in range(4):
+                assert abs(complex(jet[k]) - want[k]) <= 1e-12 * scale[k], (route, x_frac, t_frac, k)
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.1, 0.02])
@@ -238,10 +248,11 @@ def _assert_same_bits(got, want):
 
 
 def reference_jet0(x, t, state, sys):
-    """The order-0 jet by the four-transcendental chunk loop: cos and sin of both angles.
+    """The order-0 jet by a four-transcendental chunk loop: cos and sin of both angles per point.
 
-    The loop that orders >= 1 still run, restricted to order 0: the reference
-    that the three-transcendental order-0 kernel must match bit for bit.
+    Each point's terms are summed by plain loops in psi_jet's documented
+    mode order (``mode_order_sum``): the reference that the
+    three-transcendental table kernel must match bit for bit.
     """
     half_m, quarter_m2, weights = _jet_table(state.beta, DEFAULT_TRUNCATION, state.mu, sys.l)
     n_modes = half_m.size
@@ -263,7 +274,7 @@ def reference_jet0(x, t, state, sys):
         np.sin(ang, out=trig[:, 1])
         rot = trig[:, :, 0]
         xw = trig[:, :, 1][:, :1] * weights[:1]
-        sums = np.add.reduce(xw[:, :, None, :] * rot[:, None, :, :], axis=-1)
+        sums = mode_order_sum(xw[:, :, None, :] * rot[:, None, :, :], _SUM_STRIDE)
         out[lo:hi] = sums.view(complex)[..., 0, 0]
     return out.reshape(shape)
 
