@@ -35,7 +35,7 @@ import numpy as np
 
 from .density import averaged_density, density, period
 from .numerics import DEFAULT_TRUNCATION, FieldSample, FieldTag, Truncation, TruncationOverflowError
-from .phase_space import DENSITY_FLOOR, _mean_energy, comb_atoms, velocity_field
+from .phase_space import _energy_field, _floor_for, comb_atoms, velocity_field
 from .thermo import gibbs_table
 from .verification import run_all_checks
 from .wavefunction import QuantumState, SystemParams, jet_forms
@@ -347,7 +347,7 @@ def _meta_lines(config: JobConfig, sys_params: SystemParams, columns: list[str],
 
 def _clamp_density(value, sys_params: SystemParams) -> np.ndarray:
     # tiny negative truncation residue is clamped to zero in output only
-    residue = (-(DENSITY_FLOOR / sys_params.l) < value) & (value < 0.0)
+    residue = (-_floor_for(sys_params) < value) & (value < 0.0)
     return np.where(residue, 0.0, value)
 
 
@@ -378,7 +378,10 @@ def _field_table(config: JobConfig) -> tuple[dict[str, _Column], dict[str, str]]
     grid_fields = {
         "density": ("1/length", clamped_density),
         "velocity": ("length/time", lambda x, t: velocity_field(x, t, state, sys_params, trunc)),
-        "energy": ("energy", lambda x, t: _mean_energy(jet_forms(x, t, state, sys_params, trunc, order=2), sys_params)),
+        "energy": (
+            "energy",
+            lambda x, t: _energy_field(jet_forms(x, t, state, sys_params, trunc, order=2), sys_params),
+        ),
     }
     if config.command in grid_fields:
         value_unit, field = grid_fields[config.command]

@@ -152,7 +152,7 @@ def _m3_form(j: JetForms, sys: SystemParams):
     return -0.25 * (sys.hbar / sys.m) ** 3 * (j.im(0, 3) - 3.0 * j.im(1, 2))
 
 
-def _mean_energy(j: JetForms, sys: SystemParams) -> FieldSample:
+def _energy_field(j: JetForms, sys: SystemParams) -> FieldSample:
     """Mean kinetic energy per unit probability, (m/2) M2 / f, from an order-2 (or higher) jet.
 
     Tagged as a pole where the density is below the floor (walls, nodes).
@@ -327,7 +327,7 @@ def moments(
         flux=_unbox(phi),
         pressure=_unbox(p11),
         heat_flux=_unbox(p111),
-        energy_density=_mean_energy(j, sys),
+        energy_density=_energy_field(j, sys),
     )
 
 

@@ -34,7 +34,7 @@ from .numerics import (
     integrate,
     tagged,
 )
-from .phase_space import DENSITY_FLOOR, kinetic_energy_density
+from .phase_space import _floor_for, kinetic_energy_density
 from .theta import ThetaArgs, _dual_terms, theta_char, theta_dual
 from .wavefunction import (
     NATURAL_UNITS,
@@ -139,9 +139,12 @@ def partition_theta_form(
     Z = theta[1/2,1/2](-1/2, tau) with tau = i*(4*E_mu/pi)*beta_thermo = 2i*beta.
     Up to beta = 2.1 it is the Poisson dual (2 beta)^(-1/2) sum_k (-1)^k
     exp(-pi k^2 / (2 beta)), which shares no term with ``partition``'s sum
-    over modes; above, where the dual's alternating terms cancel, it is the
-    direct series.  Note this is minus ``theta.theta1`` under the package's
-    sign convention.
+    over modes.  Above 2.1, where the dual's alternating terms cancel, it is
+    the direct series, which sums the same Gaussians exp(-beta_thermo E_mu m^2)
+    as ``partition`` and so is no independent oracle there: gibbs-layer's
+    theta-form sub-check stops at beta = 2 for that reason.  The direct branch
+    is kept for its accuracy above 2.1.  Note this is minus ``theta.theta1``
+    under the package's sign convention.
     """
     _check_consistent(gp, state, sys)
     scales = derived_scales(state, sys)
@@ -303,7 +306,7 @@ def quantum_potential(
     coef = -(sys.hbar**2) / (2.0 * sys.m)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = coef * (f2 / (2.0 * f) - f1 * f1 / (4.0 * f * f))
-    return tagged(val, f >= DENSITY_FLOOR / sys.l, FieldTag.POLE)
+    return tagged(val, f >= _floor_for(sys), FieldTag.POLE)
 
 
 def quantum_potential_gradient(
@@ -324,7 +327,7 @@ def quantum_potential_gradient(
     coef = -(sys.hbar**2) / (2.0 * sys.m)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = coef * (f3 / (2.0 * f) - f1 * f2 / (f * f) + f1 * f1 * f1 / (2.0 * f * f * f))
-    return tagged(val, f >= DENSITY_FLOOR / sys.l, FieldTag.POLE)
+    return tagged(val, f >= _floor_for(sys), FieldTag.POLE)
 
 
 def avg_energy_profile(
@@ -345,7 +348,7 @@ def avg_energy_profile(
     # a zero or subnormal averaged density divides to inf or overflows: pole-tagged below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         val = mean_energy_gibbs(gp, state, trunc) / (sys.l * fbar)
-    return tagged(val, fbar >= DENSITY_FLOOR / sys.l, FieldTag.POLE)
+    return tagged(val, fbar >= _floor_for(sys), FieldTag.POLE)
 
 
 def _time_panels(state: QuantumState, trunc: Truncation) -> int:

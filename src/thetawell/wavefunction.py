@@ -535,8 +535,8 @@ def stationary_psi(
 ) -> complex:
     """The single stationary mode of level mu: sqrt(2/l) sin(pi mu x / l) e^{-i E_mu t / hbar}.
 
-    The large-beta limit of ``psi`` up to a constant phase; used as a
-    comparator in residual checks.
+    The large-beta limit of ``psi`` up to a constant phase.  No registry
+    check calls it; the wavefunction tests compare ``psi`` against it.
     """
     _check_domain(x, sys)
     scales = derived_scales(state, sys)

@@ -14,6 +14,8 @@ tends to the flat-mixture value 1/5.
 """
 
 import dataclasses
+import inspect
+import math
 import re
 import sys
 import time
@@ -216,6 +218,58 @@ def test_theta_form_is_live(monkeypatch):
     assert not r.passed
     theta_form = float(re.search(r"theta-form (\S+)", r.detail).group(1))
     assert theta_form > 1e-12, r.detail
+
+
+def test_every_check_passes_inside_its_deciding_bound():
+    results = verification.run_all_checks()
+    assert [r.name for r in results] == list(verification.CHECK_NAMES)
+    for r in results:
+        assert r.passed and r.measured < r.tolerance, (r.name, r.measured, r.tolerance, r.detail)
+
+
+def test_every_check_function_is_registered():
+    """A ``_check_*`` written but left out of the registry would silently never run."""
+    defined = {f for name, f in vars(verification).items() if name.startswith("_check_") and inspect.isfunction(f)}
+    assert defined == set(verification._CHECKS.values())
+    assert len(verification.CHECK_NAMES) == 14
+
+
+def test_a_nan_sub_check_decides_and_fails():
+    r = verification._verdict("probe", [("near", 0.9, 1.0), ("nan", math.nan, 1e-12), ("inf", math.inf, 1.0)])
+    assert not r.passed and math.isnan(r.measured) and r.tolerance == 1e-12
+    assert r.detail == "near 9.000e-01 (<1e+0); nan nan (<1e-12); inf inf (<1e+0)"
+
+
+@pytest.mark.parametrize(
+    "check,name,mutant,bound",
+    [
+        # Z*l - N reads ~1e-11 against its 1e-12, far inside the other bounds
+        ("gibbs-layer", "norm_constant", lambda real: lambda *args: real(*args) * (1.0 + 1e-11), 1e-12),
+        # the two entropy forms part by 1e-9 against their 1e-10
+        ("entropy", "entropy_from_factor", lambda real: lambda *args: real(*args) + 1e-9, 1e-10),
+    ],
+    ids=["gibbs-layer", "entropy"],
+)
+def test_summary_pair_is_the_failing_sub_check(check, name, mutant, bound, monkeypatch):
+    """A check failing one tight sub-check reports that sub-check's figure and bound."""
+    monkeypatch.setattr(verification, name, mutant(getattr(verification, name)))
+    r = run_check(check)
+    assert not r.passed
+    assert r.tolerance == bound and r.measured >= r.tolerance, (r.measured, r.tolerance, r.detail)
+
+
+def test_failing_witness_names_itself(monkeypatch):
+    """Period-averaged masses in the wrong order fail phenomena, and the detail says which witness."""
+    real = verification.comb_window_masses
+
+    def rising_average(*args):
+        initial, averaged = real(*args)
+        return initial, averaged[::-1]
+
+    monkeypatch.setattr(verification, "comb_window_masses", rising_average)
+    r = run_check("phenomena")
+    assert not r.passed and r.measured < r.tolerance
+    assert "period-averaged mass falling toward uniform False" in r.detail, r.detail
 
 
 def _replace_everywhere(monkeypatch, name: str, replacement, home=phase_space) -> None:

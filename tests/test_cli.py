@@ -13,7 +13,7 @@ from thetawell import cli
 from thetawell.cli import ConfigError, JobConfig, main
 from thetawell.density import averaged_density, density, period
 from thetawell.numerics import DEFAULT_TRUNCATION, FieldTag, cutoff_for
-from thetawell.phase_space import _mean_energy, moments, velocity_field, wigner_comb
+from thetawell.phase_space import _energy_field, moments, velocity_field, wigner_comb
 from thetawell.thermo import entropy, gibbs_params, mean_energy_gibbs
 from thetawell.verification import CheckResult
 from thetawell.wavefunction import NATURAL_UNITS, QuantumState, jet_forms
@@ -526,7 +526,7 @@ def test_energy_field_equals_moment_set(argv):
         state, sys_params, trunc = QuantumState(1, 0.1), NATURAL_UNITS, DEFAULT_TRUNCATION
         xs = np.linspace(0.02 * sys_params.l, 0.98 * sys_params.l, 49)
         ts = np.linspace(0.0, period(state, sys_params), 13)
-        got = _mean_energy(jet_forms(xs[None, :], ts[:, None], state, sys_params, trunc, order=2), sys_params)
+        got = _energy_field(jet_forms(xs[None, :], ts[:, None], state, sys_params, trunc, order=2), sys_params)
         tags = got.tag.ravel().astype(str)
         values = np.where(got.tag.ravel() == FieldTag.FINITE, got.value.ravel(), None).tolist()
     else:
