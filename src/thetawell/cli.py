@@ -461,6 +461,7 @@ def _run_verify(config: JobConfig) -> tuple[str, int]:
             "passed": _Column([r.passed for r in results]),
             "measured": _Column([r.measured for r in results]),
             "tolerance": _Column([r.tolerance for r in results]),
+            "margin": _Column([r.margin for r in results]),
             "detail": _Column([r.detail for r in results]),
         }
         text = _table_text("json", records, [])
@@ -468,7 +469,9 @@ def _run_verify(config: JobConfig) -> tuple[str, int]:
         lines = [f"# thetawell verify (mu={config.mu}, beta={_fmt(config.beta)})"]
         for r in results:
             status = "PASS" if r.passed else "FAIL"
-            lines.append(f"{status} {r.name:22s} measured={r.measured:.6e} tolerance={r.tolerance:.1e}")
+            lines.append(
+                f"{status} {r.name:22s} measured={r.measured:.6e} tolerance={r.tolerance:.1e} margin={r.margin:.3g}"
+            )
             lines.append(f"     {r.detail}")
         text = "\n".join(lines) + "\n"
     return text, 0 if all(r.passed for r in results) else 3

@@ -245,13 +245,14 @@ def theta1(z: complex, tau: complex, trunc: Truncation = DEFAULT_TRUNCATION) -> 
     ipi_tau = complex(-math.pi * tau_im, math.pi * tau_re)
     first = 2 * math.ceil(center - reach - 0.5) + 1  # odd m = 2j with |j - center| <= reach
     last = 2 * math.floor(center + reach - 0.5) + 1
+    cp2, q_2, q2_4, q2_8, nu_im = 2 * c * p, 2 * q, 4 * q2, 8 * q2, -c * y
     re = im = 0.0
     for m in range(first, last + 1, 2):
-        nu = complex((m * q - 2 * c * p) / (2 * q), -c * y)
+        nu = complex((m * q - cp2) / q_2, nu_im)
         g = ipi_tau * nu * nu
         if y:
             g += complex(-2.0 * math.pi * a * y * nu.real, math.pi * a * c * y * y)
-        ang = g.imag + math.pi * (((m * u + v) % (8 * q2)) / (4 * q2))
+        ang = g.imag + math.pi * (((m * u + v) % q2_8) / q2_4)
         size = math.exp(g.real)
         re += size * math.cos(ang)
         im += size * math.sin(ang)

@@ -67,7 +67,8 @@ class CheckResult:
     """Outcome of one verification check.
 
     ``measured`` and ``tolerance`` are the figure and bound of the deciding
-    sub-check: the one with the largest figure/bound ratio, a NaN first.
+    sub-check: the one with the largest figure/bound ratio, a NaN first;
+    ``margin`` is their ratio, how many times over that figure fits its bound.
     ``detail`` lists every sub-check as ``label figure (<bound)``, then the
     parameters and qualitative witnesses.
     """
@@ -77,6 +78,11 @@ class CheckResult:
     measured: float
     tolerance: float
     detail: str
+
+    @property
+    def margin(self) -> float:
+        """tolerance / measured: inf for a figure of exactly 0, NaN for a NaN figure."""
+        return math.inf if self.measured == 0.0 else self.tolerance / self.measured
 
 
 def _verdict(name: str, parts: list[tuple[str, float, float]], note: str = "", holds: bool = True) -> CheckResult:

@@ -493,10 +493,12 @@ def psi(
     per-point calls bit for bit.  Above it, the order-0 ``psi_jet`` over
     the square root of l * scaled_norm_sum, part by part (a complex array
     division rounds otherwise); there a float x and t (``np.float64``
-    too) skip the tables: one cached lookup, then the jet's products over
-    the mode rows and its ``_mode_sum``, with the same bits.  Boundary evaluations return
-    the raw series value, which cancels to the truncation floor rather than
-    being forced to exactly 0.  Broadcasts over x and t.
+    too) skip the tables: one cached lookup (``_point_constants``), the
+    jet's order-0 products over the mode rows in one (2, K + 1) array, and
+    ``_mode_sum``'s order for one point, which up to ``_SUM_STRIDE`` modes
+    is one ``np.add.accumulate``, with the same bits.  Boundary evaluations
+    return the raw series value, which cancels to the truncation floor
+    rather than being forced to exactly 0.  Broadcasts over x and t.
     """
     if state.beta <= _THETA1_MAX_BETA:
         _check_domain(x, sys)
@@ -510,12 +512,19 @@ def psi(
         _check_domain(x, sys)
         half_m, quarter_m2, w0, w_scale, root = _point_constants(state, sys, trunc)
         # psi_jet's one-point terms at order 0, built with fewer numpy calls
-        amp = np.cos(_x_phase(x, state, sys) * half_m) * w0
+        amp = _x_phase(x, state, sys) * half_m
+        np.cos(amp, out=amp)
+        amp *= w0
         ang = (w_scale * t) * quarter_m2
-        terms = np.empty((1, 2, ang.size))
-        np.multiply(amp, np.cos(ang), out=terms[0, 0])
-        np.multiply(amp, np.sin(ang, out=ang), out=terms[0, 1])
-        ((re, im),) = _mode_sum([terms]).tolist()
+        terms = np.empty((2, ang.size))
+        np.cos(ang, out=terms[0])
+        np.sin(ang, out=terms[1])
+        terms *= amp
+        # within one run, _mode_sum's order for one point is this accumulate
+        if ang.size <= _SUM_STRIDE:
+            re, im = np.add.accumulate(terms, axis=1)[:, -1].tolist()
+        else:
+            re, im = _mode_sum([terms[None]])[0].tolist()
         return complex(re / root, im / root)
     theta_scaled = psi_jet(x, t, state, sys, trunc)[0]
     root = math.sqrt(sys.l * scaled_norm_sum(state, trunc))

@@ -2,14 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetawell import cli
+from thetawell import cli, verification
 from thetawell.cli import ConfigError, JobConfig, main
 from thetawell.density import averaged_density, density, period
 from thetawell.numerics import DEFAULT_TRUNCATION, FieldTag, cutoff_for
@@ -556,8 +560,9 @@ def test_verify_passes(capsys):
     assert len(records) == 14
     assert all(r["passed"] for r in records)
     assert all(
-        set(r) == {"check", "passed", "measured", "tolerance", "detail"} for r in records
+        set(r) == {"check", "passed", "measured", "tolerance", "margin", "detail"} for r in records
     )
+    assert all(r["margin"] == r["tolerance"] / r["measured"] > 1.0 for r in records if r["measured"])
 
 
 def test_verify_text_lines(capsys, monkeypatch):
@@ -585,10 +590,54 @@ def test_verify_json_matches_json_dumps(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify", "--format", "json"])
     assert code == 3
     records = [
-        {"check": r.name, "passed": r.passed, "measured": r.measured, "tolerance": r.tolerance, "detail": r.detail}
+        {
+            "check": r.name,
+            "passed": r.passed,
+            "measured": r.measured,
+            "tolerance": r.tolerance,
+            "margin": r.margin,
+            "detail": r.detail,
+        }
         for r in stub
     ]
     assert out == json.dumps(records, indent=1)
+
+
+def test_verify_prints_margins(capsys, monkeypatch):
+    """Each check's margin, tolerance / measured, on its text line and in its JSON record.
+
+    A figure of 0 has an infinite margin; a NaN figure a NaN one, and its
+    check fails however it was judged.
+    """
+    results = [
+        verification._verdict("passing", [("a", 2e-12, 1e-9), ("b", 0.0, 1e-6)]),
+        verification._verdict("failing", [("a", 5e-9, 1e-9)]),
+        verification._verdict("zero", [("a", 0.0, 1e-9)]),
+        verification._verdict("nan", [("a", 1e-12, 1e-9), ("b", math.nan, 1e-6)]),
+    ]
+    assert [r.passed for r in results] == [True, False, True, False]
+    monkeypatch.setattr(cli, "run_all_checks", lambda *a, **k: results)
+    code, out, _ = run_cli(capsys, ["verify"])
+    assert code == 3
+    status = out.splitlines()[1::2]
+    assert [line.split()[0] for line in status] == ["PASS", "FAIL", "PASS", "FAIL"]
+    assert [line.split()[-1] for line in status] == ["margin=500", "margin=0.2", "margin=inf", "margin=nan"]
+    code, out, _ = run_cli(capsys, ["verify", "--format", "json"])
+    margins = [r["margin"] for r in json.loads(out)]
+    assert margins[:3] == [1e-9 / 2e-12, 1e-9 / 5e-9, math.inf] and math.isnan(margins[3])
+
+
+def test_python_m_thetawell_runs_the_cli(capsys):
+    """``python3 -m thetawell`` from a checkout (package on PYTHONPATH) is the ``thetawell`` command."""
+    argv = ["density", "--grid-x", "2", "--grid-t", "2"]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetawell", *argv], capture_output=True, text=True, env=env, timeout=120, check=False
+    )
+    code, out, err = run_cli(capsys, argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) == (0, out, "")
+    assert len(data_lines(out)) == 1 + 2 * 2
 
 
 def test_parser_reused_across_runs(capsys):

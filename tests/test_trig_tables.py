@@ -11,13 +11,16 @@ taken once per input entry; and that numpy's reduction adds rows in the
 order those sums rely on.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from mode_order import mode_order_sum
 from thetawell import wavefunction
 from thetawell.density import density, density_derivatives, period
-from thetawell.numerics import cutoff_for
+from thetawell.numerics import DEFAULT_TRUNCATION, cutoff_for
 from thetawell.phase_space import flux, moment_rate, moments
 from thetawell.wavefunction import NATURAL_UNITS, QuantumState, SystemParams, psi, psi_jet
 
@@ -173,16 +176,21 @@ def test_call_beyond_budget_equals_unsplit_bits(monkeypatch, beta, order):
         assert np.array_equal(_bits(got), _bits(psi_jet(x, t, state, order=order)))
 
 
-@pytest.mark.parametrize("beta", [1.0, 0.1, 1e-4])
+@pytest.mark.parametrize("beta", [1.0, 0.1, 1e-4, 2.1e-5])
 def test_scalar_0d_and_one_element_calls_equal_grid_point(beta):
     """Float, 0-d and shape-(1,) calls equal the same point inside a grid, bit for bit.
 
-    The grid spans both walls and t = 0, where the sums carry signed zeros.
+    The grid spans both walls, t = 0, a negative and a late time, where the
+    sums carry signed zeros and large angles.  At beta = 1e-4 and 2.1e-5
+    (the largest K of psi's jet route) K + 1 exceeds ``_SUM_STRIDE``, so
+    one point's sum takes the run order.
     """
     state = QuantumState(3, beta)
+    assert (cutoff_for(beta) + 1 > wavefunction._SUM_STRIDE) == (beta <= 1e-4)
+    assert beta > wavefunction._THETA1_MAX_BETA  # psi on the jet
     xs = np.array(X_FRACS)
-    ts = np.array(T_FRACS) * period(state)
-    grid = {k: psi_jet(xs[:, None], ts[None, :], state, order=k) for k in (0, 2, 5)}
+    ts = np.array((*T_FRACS, -0.3, 100.37)) * period(state)
+    grid = {k: psi_jet(xs[:, None], ts[None, :], state, order=k) for k in range(6)}
     grid["psi"] = psi(xs[:, None], ts[None, :], state)
     grid["density"] = density(xs[:, None], ts[None, :], state)
     for i, j in np.ndindex(xs.size, ts.size):
@@ -195,6 +203,47 @@ def test_scalar_0d_and_one_element_calls_equal_grid_point(beta):
                 else:
                     got = psi_jet(x, t, state, order=name)
                 assert np.array_equal(_bits(np.reshape(got, -1)), _bits(np.ravel(want[..., i, j]))), (name, i, j, np.shape(x))
+
+
+def _recorded(fn, *args):
+    """fn(*args) and the (category, message) of every warning it raised, each recorded."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn(*args)
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.1e-5, 1e-6])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_float_route_equals_array_route_at_nonfinite_t(beta, t):
+    """At t = NaN or +-inf float calls of psi and psi_jet give the array calls' bits and warnings.
+
+    Both take the same libm calls on the same angles, so a non-finite time
+    gives the same NaNs and the same "invalid value" warnings (errors under
+    the test run's warning filter) as a one-element array, and the same
+    kinds of warning as a grid, which warns once per run of modes it splits
+    into at large K; beta = 1e-6 puts psi on its theta1 route.  A point
+    outside the well, or at x = NaN, still raises on either route.
+    """
+    state = QuantumState(2, beta)
+    for fn, extra in [(psi, ()), (psi_jet, (0,)), (psi_jet, (3,))]:
+
+        def call(x, tt):
+            return fn(x, tt, state, NATURAL_UNITS, DEFAULT_TRUNCATION, *extra)
+
+        got, got_warnings = _recorded(call, 0.37, t)
+        one, one_warnings = _recorded(call, np.array([0.37]), np.array([t]))
+        grid, grid_warnings = _recorded(call, np.array([0.37, 0.5]), np.array([t, t]))
+        assert np.array_equal(_bits(np.reshape(got, -1)), _bits(np.reshape(one, -1))), fn.__name__
+        assert np.array_equal(_bits(np.reshape(got, -1)), _bits(grid[..., 0])), fn.__name__
+        assert got_warnings == one_warnings and set(got_warnings) == set(grid_warnings), fn.__name__
+        on_theta1 = fn is psi and beta <= wavefunction._THETA1_MAX_BETA  # theta1 returns NaN for a non-finite tau
+        assert len(got_warnings) == (2 if math.isinf(t) and not on_theta1 else 0), fn.__name__
+        for bad_x in (math.nan, -0.1, 1.1):
+            with pytest.raises(ValueError, match="outside the well"):
+                call(bad_x, t)
+            with pytest.raises(ValueError, match="outside the well"):
+                call(np.array([bad_x, 0.5]), np.array([t, t]))
 
 
 @pytest.mark.parametrize("points", [2, 3, 100])
