@@ -471,16 +471,25 @@ def test_cold_comb_point_allocates_no_square_array(call):
 
 
 def test_scalar_psi_looks_up_its_state_once(monkeypatch):
-    """100 float psi calls at one state: at most one derived_scales and one mode_table call.
+    """100 float psi calls per state: one cached lookup each, and at most one build of any table.
 
-    The per-state constants of the point route come from one cached lookup,
-    so neither the scales nor the mode table is rebuilt or looked up per call.
+    The per-state constants of the point route, the float loop's rows
+    (beta = 0.037) or the mode arrays (beta = 1e-3), come from one
+    ``_point_constants`` lookup, so neither the scales, the mode table nor
+    the jet table is rebuilt or looked up per call.
     """
-    state = QuantumState(2, 0.037)
-    wavefunction.psi(0.5, 0.0, state)
     scales = _count_calls(monkeypatch, wavefunction, "derived_scales")
     modes = _count_calls(monkeypatch, wavefunction, "mode_table")
+    jets = _count_calls(monkeypatch, wavefunction, "_jet_table")
     rng = np.random.default_rng(5)
-    for x, t in rng.uniform(0.0, 1.0, size=(100, 2)).tolist():
-        assert type(wavefunction.psi(x, t, state)) is complex
-    assert len(scales) <= 1 and len(modes) <= 1, (len(scales), len(modes))
+    for beta in (0.037, 1e-3):
+        state = QuantumState(2, beta)
+        wavefunction.psi(0.5, 0.0, state)
+        for calls in (scales, modes, jets):
+            calls.clear()
+        before = wavefunction._point_constants.cache_info()
+        for x, t in rng.uniform(0.0, 1.0, size=(100, 2)).tolist():
+            assert type(wavefunction.psi(x, t, state)) is complex
+        after = wavefunction._point_constants.cache_info()
+        assert len(scales) <= 1 and len(modes) <= 1 and len(jets) <= 1, (beta, len(scales), len(modes), len(jets))
+        assert (after.hits + after.misses) - (before.hits + before.misses) == 100, beta

@@ -176,16 +176,20 @@ def test_call_beyond_budget_equals_unsplit_bits(monkeypatch, beta, order):
         assert np.array_equal(_bits(got), _bits(psi_jet(x, t, state, order=order)))
 
 
-@pytest.mark.parametrize("beta", [1.0, 0.1, 1e-4, 2.1e-5])
+@pytest.mark.parametrize("beta", [1.0, 0.1, 7.3e-3, 7e-3, 1e-4, 2.1e-5])
 def test_scalar_0d_and_one_element_calls_equal_grid_point(beta):
     """Float, 0-d and shape-(1,) calls equal the same point inside a grid, bit for bit.
 
     The grid spans both walls, t = 0, a negative and a late time, where the
-    sums carry signed zeros and large angles.  At beta = 1e-4 and 2.1e-5
-    (the largest K of psi's jet route) K + 1 exceeds ``_SUM_STRIDE``, so
-    one point's sum takes the run order.
+    sums carry signed zeros and large angles.  At beta = 7.3e-3 and 7e-3
+    K + 1 is 38 and 39, on either side of ``_FLOAT_LOOP_MODES``, so a
+    float psi call takes the Python-float loop at the first and the array
+    route at the second.  At beta = 1e-4 and 2.1e-5 (the largest K of
+    psi's jet route) K + 1 exceeds ``_SUM_STRIDE``, so one point's sum
+    takes the run order.
     """
     state = QuantumState(3, beta)
+    assert (cutoff_for(beta) + 1 <= wavefunction._FLOAT_LOOP_MODES) == (beta >= 7.3e-3)
     assert (cutoff_for(beta) + 1 > wavefunction._SUM_STRIDE) == (beta <= 1e-4)
     assert beta > wavefunction._THETA1_MAX_BETA  # psi on the jet
     xs = np.array(X_FRACS)
@@ -244,6 +248,48 @@ def test_float_route_equals_array_route_at_nonfinite_t(beta, t):
                 call(bad_x, t)
             with pytest.raises(ValueError, match="outside the well"):
                 call(np.array([bad_x, 0.5]), np.array([t, t]))
+
+
+@pytest.mark.parametrize("beta", [1.0, 7.3e-3])
+def test_float_loop_overflowing_angle_takes_the_array_route(beta):
+    """A finite t whose angles (w/4) m^2 overflow gives a float psi the one-element call's bits and warnings.
+
+    math.cos raises on the infinite angle where np.cos warns and returns
+    NaN, so the float loop hands such a point to the array route.
+    """
+    state = QuantumState(1, beta)
+    for t in (1e306, -1e306, 5e306):
+        got, got_warnings = _recorded(psi, 0.37, t, state)
+        one, one_warnings = _recorded(psi, np.array([0.37]), np.array([t]), state)
+        assert np.array_equal(_bits(got), _bits(one)), t
+        assert got_warnings == one_warnings and got_warnings, t
+
+
+def test_math_trig_equals_numpy_trig_bits():
+    """``math.cos``/``math.sin`` equal ``np.cos``/``np.sin`` on float64 bit for bit, on psi's angles.
+
+    Scalar psi's Python-float loop (up to ``_FLOAT_LOOP_MODES`` modes)
+    equals its array route and every grid only because numpy's float64 cos
+    and sin are libm's: a numpy whose trig rounds differently (its own SIMD
+    kernels, say) fails here before any grid-equals-points test does.
+    The angles are psi's own products (u/2) m and -(w/4) m^2, taken as
+    arrays of modes the way the array route takes them, at late times too.
+    """
+    rng = np.random.default_rng(25)
+    m = np.arange(1, 2 * 101 + 2, 2, dtype=float)
+    half_m, quarter_m2 = m / 2.0, m * m / -4.0
+    u = math.pi * (2.0 * rng.integers(1, 6, 50) * rng.uniform(0.0, 1.0, 50) + 1.0)
+    w = (math.pi / period(QuantumState(1, 0.1))) * np.concatenate(
+        [rng.uniform(-2.0, 2.0, 50), rng.uniform(-1e4, 1e4, 50), rng.uniform(0.0, 1e9, 20)]
+    )
+    for angles in [*(p * half_m for p in u), *(p * quarter_m2 for p in w)]:
+        for np_fn, math_fn in ((np.cos, math.cos), (np.sin, math.sin)):
+            want = np.array([math_fn(a) for a in angles.tolist()])
+            mismatch = np.flatnonzero(_bits(np_fn(angles)) != _bits(want))
+            assert mismatch.size == 0, (
+                f"np.{np_fn.__name__} is not libm's {math_fn.__name__} at angles {angles[mismatch[:3]].tolist()}: "
+                "scalar psi's float loop no longer equals its array route bit for bit"
+            )
 
 
 @pytest.mark.parametrize("points", [2, 3, 100])
