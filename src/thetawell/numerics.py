@@ -37,6 +37,15 @@ class NonIntegrableSampleError(ValueError):
     """A quadrature node inside the open interval evaluated to a non-finite value."""
 
 
+def _keep_hash(obj, fields: tuple) -> None:
+    """Store hash(fields), the frozen dataclass's own hash, for its explicit ``__hash__``.
+
+    Every per-state ``lru_cache`` lookup hashes its parameter objects, and
+    the generated ``__hash__`` builds the field tuple anew each time.
+    """
+    object.__setattr__(obj, "_hash", hash(fields))
+
+
 @dataclass(frozen=True)
 class Truncation:
     """Tail-bound policy for the Gaussian-weighted harmonic sums.
@@ -55,6 +64,10 @@ class Truncation:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol!r}")
         if int(self.max_index) != self.max_index or self.max_index < 1:
             raise ValueError(f"max_index must be a positive integer, got {self.max_index!r}")
+        _keep_hash(self, (self.tol, self.max_index))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 DEFAULT_TRUNCATION = Truncation()

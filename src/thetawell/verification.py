@@ -292,18 +292,18 @@ def _check_momentum_law(sys: SystemParams, trunc: Truncation, state: QuantumStat
     law = _law_ratio(1, sys, trunc, state)
     rng = np.random.default_rng(_SEED)
     xs, ts = rng.uniform([0.05 * sys.l, 0.0], [0.95 * sys.l, period(state, sys)], size=(20, 2)).T
-    # d P11/dx = f dQ/dx / m, compared without dividing by f, which loses
+    # d P11/dx = f dQ/dx, compared without dividing by f, which loses
     # digits pointwise where f nears the floor
     grad = pressure_gradient(xs, ts, state, sys, trunc)
     qgrad = quantum_potential_gradient(xs, ts, state, sys, trunc)
     ok = grad.is_finite & qgrad.is_finite
-    force = density(xs, ts, state, sys, trunc)[ok] * qgrad.value[ok] / sys.m
+    force = density(xs, ts, state, sys, trunc)[ok] * qgrad.value[ok]
     madelung = float(np.max(np.abs(grad.value[ok] - force)) / np.max(np.abs(grad.value[ok])))
     return _verdict(
         "momentum-law",
         [
             ("k=1 law |dM1/dt + dM2/dx| / max|dM1/dt| on 21x11", law, 1e-10),
-            ("dP11/dx vs f dQ/dx / m, max gap / max|dP11/dx| at 20 points", madelung, 1e-6),
+            ("dP11/dx vs f dQ/dx, max gap / max|dP11/dx| at 20 points", madelung, 1e-6),
         ],
     )
 

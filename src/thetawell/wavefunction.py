@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import DEFAULT_TRUNCATION, Truncation, cutoff_for
+from .numerics import DEFAULT_TRUNCATION, Truncation, _keep_hash, cutoff_for
 from .theta import ThetaArgs, theta1, theta_dual
 
 __all__ = [
@@ -61,6 +61,10 @@ class SystemParams:
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        _keep_hash(self, (self.m, self.l, self.hbar))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 NATURAL_UNITS = SystemParams()
@@ -78,6 +82,10 @@ class QuantumState:
             raise ValueError(f"mu must be a positive integer, got {self.mu!r}")
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
+        _keep_hash(self, (self.mu, self.beta))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -190,6 +198,13 @@ def _phase_coords(x, t, state: QuantumState, sys: SystemParams):
 # blocks measured slower on the registry: each fresh array is paged in anew
 _JET_BUDGET = 1 << 15
 
+# psi_jet keeps its last time-angle table for a t with one entry per point,
+# cos and sin of -(w/4) m^2, for a next call on the same times, when the
+# table fits in this many bytes (4 MiB): it outlives the call, so it stays a
+# few MiB against the ~40 MiB a process holds after import.  A larger one is
+# not built whole; its trig is taken per block
+_TIME_TABLE_BYTES = 1 << 22
+
 # psi_jet adds up to this many modes (beta >= 1.6e-4) strictly in mode order
 # and more as this many running sums (``_mode_sum``), so a block may take its
 # modes a run at a time and one point's sum is not one long chain of adds
@@ -244,6 +259,39 @@ def _trig(phases, factor: np.ndarray, sin: bool = True) -> np.ndarray:
     rows[0] = np.cos(ang).T
     if sin:
         rows[1] = np.sin(ang, out=ang).T
+    return table
+
+
+# psi_jet's last kept time table: (quarter_m2 row, w, table), all read-only,
+# or None.  Replaced whole by one assignment, so a reader on another thread
+# sees an old entry or a new one, never a mix
+_kept_time_table = None
+
+
+def _time_table(w: np.ndarray, quarter_m2: np.ndarray):
+    """cos and sin of -(w/4) m^2 for a w with one entry per point, as a (2, K + 1, *w.shape) table.
+
+    None where the table would exceed ``_TIME_TABLE_BYTES``: the caller then
+    takes the trig per block.  Otherwise the table is built a block of
+    entries at a time, which bounds the transient, and kept, keyed on the
+    identity of the mode row and on the bits of w, so -0.0 and 0.0 differ;
+    a w with a non-finite entry is never kept, so its warnings recur on every
+    call.
+    """
+    global _kept_time_table
+    kept = _kept_time_table
+    if kept is not None and kept[0] is quarter_m2 and np.array_equal(kept[1].view(np.uint64), w.view(np.uint64)):
+        return kept[2]  # array_equal compares the shapes too
+    if 16 * quarter_m2.size * w.size > _TIME_TABLE_BYTES:
+        return None
+    table = np.empty((2, quarter_m2.size, *w.shape))
+    rows, flat = table.reshape(2, quarter_m2.size, -1), w.reshape(-1)
+    step = max(1, _JET_BUDGET // quarter_m2.size)
+    for lo in range(0, flat.size, step):
+        rows[:, :, lo : lo + step] = _trig(flat[lo : lo + step], quarter_m2)
+    if np.isfinite(w).all():  # w is psi_jet's own product, not the caller's t
+        w.flags.writeable = table.flags.writeable = False
+        _kept_time_table = (quarter_m2, w, table)
     return table
 
 
@@ -338,8 +386,22 @@ def psi_jet(
     never by a matrix product, so a grid, scattered points and one point
     give the same bits in any orientation, and entry 0 is the same at every
     order.  The products are formed per block of the broadcast shape within
-    ``_JET_BUDGET`` entries, so a grid needs no gather; an input with one
+    ``_JET_BUDGET`` entries, so a grid needs no gather; an x with one
     entry per point has its trig taken per block, a smaller one once.
+
+    A t with one entry per point is the exception: its time table, cos and
+    sin of -(w/4) m^2 in the shape (2, K + 1, *w.shape), is built whole, a
+    block of entries at a time, up to ``_TIME_TABLE_BYTES`` (4 MiB), and
+    the last one built is kept, with the w it was built for, until a call on
+    other times (``_time_table``).  A call with the same mode row (the
+    state's cached ``_jet_table``) and a w of the same bits reads it, so
+    fields taken one after another on the same scattered points take their
+    time trig once.  A w with a non-finite entry is never kept; beyond the
+    cap the trig is taken per block, as for such an x.  A smaller t (a grid
+    axis, one time) is tabled anew on each call, where a lookup would cost
+    about what it saves.  No x table is kept: it would hold a second table
+    of up to the same size for the life of the process.  The one-point call
+    (one x, one t) skips the tables.
     """
     if order not in range(6):
         raise ValueError(f"order must be 0, 1, 2, 3, 4 or 5, got {order!r}")
@@ -354,9 +416,11 @@ def psi_jet(
         sums = _mode_sum([_jet_terms(_trig(u.item(), half_m, n > 1), _trig(w.item(), quarter_m2), weights, n)])
         out.real.flat, out.imag.flat = sums[:, 0], sums[:, 1]
         return out
-    # an input with fewer entries than points is tabled once, else per block
+    # an input with fewer entries than points is tabled once, else per block;
+    # but a t with one entry per point is tabled whole up to _TIME_TABLE_BYTES,
+    # and that table kept for a next call on the same times
     x_trig = None if u.size == size else _trig(u, half_m, n > 1)
-    t_trig = None if w.size == size else _trig(w, quarter_m2)
+    t_trig = _trig(w, quarter_m2) if w.size < size else _time_table(w, quarter_m2)
 
     def chunks(idx: tuple, width: int):
         for lo in range(0, n_modes, width):
@@ -513,7 +577,9 @@ def psi(
     formed in a loop over Python floats (math's cos and sin are libm's, as
     numpy's float64 ones are), above it over the mode rows in one
     (2, K + 1) array; a point whose angle overflows to infinity, where math
-    raises, takes the array route and its warnings.  Boundary evaluations
+    raises, takes the array route and its warnings, and one whose
+    w = (pi/T_mu) t is not finite takes a 0-d call, so an overflowing
+    product warns as the array call's does.  Boundary evaluations
     return the raw series value, which cancels to the truncation floor
     rather than being forced to exactly 0.  Broadcasts over x and t.
     """
@@ -529,6 +595,8 @@ def psi(
         _check_domain(x, sys)
         half_m, quarter_m2, w0, w_scale, root, rows = _point_constants(state, sys, trunc)
         u, wt = _x_phase(x, state, sys), w_scale * t
+        if not math.isfinite(wt):  # a 0-d call, whose multiply warns where w overflows
+            return psi(np.array(x), np.array(t), state, sys, trunc)
         if rows is not None:  # the numpy route's products and order, term by term
             re = im = -0.0
             try:

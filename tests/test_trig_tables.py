@@ -12,6 +12,8 @@ order those sums rely on.
 """
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -128,7 +130,11 @@ def _count_trig(monkeypatch) -> dict:
 
 @pytest.mark.parametrize("beta", [0.1, 1e-3, 1e-6])
 def test_trig_taken_once_per_entry(monkeypatch, beta):
-    """Each entry of x and of t, as given, has its trig taken once per call, whatever the layout."""
+    """Each entry of x and of t, as given, has its trig taken once per call, whatever the layout.
+
+    The kept time table is dropped before each call, so each count is one
+    call's own; reuse across calls is pinned by the kept-table tests.
+    """
     taken = _count_trig(monkeypatch)
     state = QuantumState(1, beta)
     n_modes = cutoff_for(beta) + 1
@@ -146,11 +152,185 @@ def test_trig_taken_once_per_entry(monkeypatch, beta):
     for order in (0, 3):
         for x, t in calls:
             taken.update(x=0, t=0)
+            monkeypatch.setattr(wavefunction, "_kept_time_table", None)  # a call on fresh times
             psi_jet(x, t, state, order=order)
             assert taken == {"x": np.size(x) * n_modes, "t": np.size(t) * n_modes}, (order, np.shape(x), np.shape(t))
     taken.update(x=0, t=0)
+    monkeypatch.setattr(wavefunction, "_kept_time_table", None)
     density(xs[:, None], ts[None, :], state)
     assert taken == {"x": xs.size * n_modes, "t": ts.size * n_modes}
+
+
+def _fresh(monkeypatch, x, t, state, order=0):
+    """psi_jet(x, t) with no kept time table to read, so its time trig is taken anew."""
+    monkeypatch.setattr(wavefunction, "_kept_time_table", None)
+    return psi_jet(x, t, state, order=order)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.1, 1e-3])
+def test_repeated_times_reuse_the_kept_table(monkeypatch, beta):
+    """A second call on the same scattered times takes no time trig and gives the same bits.
+
+    So do the fields read one after another on one point set and a call
+    with new x on the same t; a grid's t axis, one entry per row, is
+    tabled anew on every call and leaves the kept table as it was.
+    """
+    taken = _count_trig(monkeypatch)
+    state = QuantumState(1, beta)
+    n_modes = cutoff_for(beta) + 1
+    rng = np.random.default_rng(26)
+    xs, ts = rng.uniform(0.0, 1.0, 300), rng.uniform(0.0, period(state), 300)
+    other_x = rng.uniform(0.0, 1.0, 300)
+    want = {order: _fresh(monkeypatch, xs, ts, state, order) for order in (0, 3)}
+    want_other = _fresh(monkeypatch, other_x, ts, state)
+    monkeypatch.setattr(wavefunction, "_kept_time_table", None)
+    taken.update(t=0)
+    psi_jet(xs, ts, state)
+    assert taken["t"] == ts.size * n_modes
+    for order in (0, 3, 0):
+        taken.update(t=0)
+        got = psi_jet(xs, ts, state, order=order)
+        assert taken["t"] == 0 and np.array_equal(_bits(got), _bits(want[order])), order
+    density(xs, ts, state), flux(xs, ts, state), density_derivatives(xs, ts, state)
+    got = psi_jet(other_x, ts, state)
+    assert taken["t"] == 0 and np.array_equal(_bits(got), _bits(want_other))
+    kept = wavefunction._kept_time_table
+    for _ in range(2):
+        taken.update(t=0)
+        psi_jet(xs[None, :], ts[:16, None], state)
+        assert taken["t"] == 16 * n_modes and wavefunction._kept_time_table is kept
+
+
+def test_times_changed_in_place_rebuild_the_table(monkeypatch):
+    """The key is w = (pi/T_mu) t, psi_jet's own array: writing into the caller's t between calls forces a rebuild."""
+    taken = _count_trig(monkeypatch)
+    state = QuantumState(1, 0.1)
+    rng = np.random.default_rng(4)
+    xs, ts = rng.uniform(0.0, 1.0, 200), rng.uniform(0.0, period(state), 200)
+    psi_jet(xs, ts, state)
+    assert ts.flags.writeable  # the caller's array is not frozen
+    ts[17] += 0.25 * period(state)
+    ts[150] = np.nextafter(ts[150], 1.0)  # one bit
+    taken.update(t=0)
+    got = psi_jet(xs, ts, state)
+    assert taken["t"] == ts.size * (cutoff_for(state.beta) + 1)
+    assert np.array_equal(_bits(got), _bits(_fresh(monkeypatch, xs, ts, state)))
+
+
+def test_signed_zero_times_are_told_apart(monkeypatch):
+    """t = -0.0 after t = 0.0 (equal as floats) reads its own table: the results differ in signed-zero bits."""
+    state = QuantumState(1, 1.0)
+    xs = np.linspace(0.0, 1.0, 41)
+    plus, minus = np.zeros(xs.size), np.full(xs.size, -0.0)
+    want_plus, want_minus = (_fresh(monkeypatch, xs, t, state, 3) for t in (plus, minus))
+    assert not np.array_equal(_bits(want_plus), _bits(want_minus))  # the case has signed zeros to lose
+    assert np.array_equal(want_plus, want_minus)  # ... and nothing else
+    for t, want in ((plus, want_plus), (minus, want_minus), (plus, want_plus)):
+        assert np.array_equal(_bits(psi_jet(xs, t, state, order=3)), _bits(want))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_are_never_kept(bad):
+    """A t with a non-finite entry is not kept, so each call warns again; the kept table stays as it was."""
+    state = QuantumState(1, 0.1)
+    xs = np.linspace(0.1, 0.9, 8)
+    ts = np.linspace(0.0, 0.1, 8)
+    psi_jet(xs, ts, state)
+    kept = wavefunction._kept_time_table
+    bad_ts = ts.copy()
+    bad_ts[3] = bad
+    for _ in range(2):
+        got, caught = _recorded(psi_jet, xs, bad_ts, state)
+        assert np.isnan(got[0, 3]) and np.array_equal(_bits(np.delete(got, 3, 1)), _bits(np.delete(psi_jet(xs, ts, state), 3, 1)))
+        assert len(caught) == (2 if math.isinf(bad) else 0)  # cos and sin of an infinite angle
+        assert wavefunction._kept_time_table is kept
+
+
+def test_another_state_rebuilds_the_table(monkeypatch):
+    """Another state's mode row is another key: the same t gives that state's own table."""
+    taken = _count_trig(monkeypatch)
+    rng = np.random.default_rng(8)
+    xs, ts = rng.uniform(0.0, 1.0, 100), rng.uniform(0.0, 0.1, 100)
+    first, second = QuantumState(1, 0.1), QuantumState(1, 0.05)
+    psi_jet(xs, ts, first)
+    for state in (second, first):
+        want = _fresh(monkeypatch, xs, ts, state)
+        psi_jet(xs, ts, second if state is first else first)
+        taken.update(t=0)
+        got = psi_jet(xs, ts, state)
+        assert taken["t"] == ts.size * (cutoff_for(state.beta) + 1)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_kept_table_is_read_only():
+    """The kept mode row, w and table cannot be written, so a caller cannot corrupt a later call."""
+    state = QuantumState(1, 0.1)
+    psi_jet(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 0.1, 5), state)
+    row, w, table = wavefunction._kept_time_table
+    assert table.shape == (2, row.size, 5) and w.shape == (5,)
+    for arr in (row, w, table):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_times_above_the_cap_keep_per_block_trig(monkeypatch, order):
+    """One t per point beyond ``_TIME_TABLE_BYTES``: trig per block, nothing kept, the same bits."""
+    state = QuantumState(1, 1e-3)
+    n_modes = cutoff_for(state.beta) + 1
+    rng = np.random.default_rng(9)
+    xs, ts = rng.uniform(0.0, 1.0, 900), rng.uniform(0.0, period(state), 900)
+    want = _fresh(monkeypatch, xs, ts, state, order)
+    assert 16 * n_modes * ts.size <= wavefunction._TIME_TABLE_BYTES
+    monkeypatch.setattr(wavefunction, "_TIME_TABLE_BYTES", 16 * n_modes * (ts.size - 1))
+    real, sizes = wavefunction._trig, []
+
+    def counted(phases, factor, sin=True):
+        if factor[0] < 0.0:
+            sizes.append(np.size(phases))
+        return real(phases, factor, sin)
+
+    monkeypatch.setattr(wavefunction, "_trig", counted)
+    for _ in range(2):
+        sizes.clear()
+        got = _fresh(monkeypatch, xs, ts, state, order)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert wavefunction._kept_time_table is None
+        block = wavefunction._JET_BUDGET // (2 * (order + 1) * n_modes)  # the jet's own blocks, no whole table
+        assert sum(sizes) == ts.size and max(sizes) <= block < ts.size, sizes
+
+
+def test_threads_sharing_the_kept_table_get_their_own_bits():
+    """Threads calling psi_jet on different times at once each get their own call's bits.
+
+    A reader takes the kept entry in one read, and a writer replaces it in
+    one assignment; a short switch interval interleaves the threads often.
+    """
+    state = QuantumState(1, 0.1)
+    rng = np.random.default_rng(12)
+    cases = [(rng.uniform(0.0, 1.0, 64), rng.uniform(0.0, period(state), 64)) for _ in range(4)]
+    wants = [psi_jet(x, t, state, order=1) for x, t in cases]
+    failures = []
+
+    def work(i):
+        x, t = cases[i]
+        for _ in range(60):
+            if not np.array_equal(_bits(psi_jet(x, t, state, order=1)), _bits(wants[i])):
+                failures.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i % len(cases),)) for i in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert failures == []
 
 
 @pytest.mark.parametrize("beta", [0.1, 1e-3, 1e-5])
@@ -250,15 +430,18 @@ def test_float_route_equals_array_route_at_nonfinite_t(beta, t):
                 call(np.array([bad_x, 0.5]), np.array([t, t]))
 
 
-@pytest.mark.parametrize("beta", [1.0, 7.3e-3])
+@pytest.mark.parametrize("beta", [1.0, 7.3e-3, 1e-3])
 def test_float_loop_overflowing_angle_takes_the_array_route(beta):
     """A finite t whose angles (w/4) m^2 overflow gives a float psi the one-element call's bits and warnings.
 
     math.cos raises on the infinite angle where np.cos warns and returns
-    NaN, so the float loop hands such a point to the array route.
+    NaN, so the float loop hands such a point to the array route.  Where
+    w = (pi/T_mu) t itself overflows (t = +-1.7e308), the float call takes
+    a 0-d call, whose multiply warns "overflow" as the array call's does;
+    beta = 1e-3 is past the float loop, on the point route's arrays.
     """
     state = QuantumState(1, beta)
-    for t in (1e306, -1e306, 5e306):
+    for t in (1e306, -1e306, 5e306, 1.7e308, -1.7e308):
         got, got_warnings = _recorded(psi, 0.37, t, state)
         one, one_warnings = _recorded(psi, np.array([0.37]), np.array([t]), state)
         assert np.array_equal(_bits(got), _bits(one)), t

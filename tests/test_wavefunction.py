@@ -1,7 +1,10 @@
 """Wavefunction series: normalization, boundaries, the equation itself."""
 
 import cmath
+import copy
+import dataclasses
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -150,6 +153,36 @@ def test_state_and_system_validation():
         SystemParams(m=0.0)
     with pytest.raises(ValueError):
         SystemParams(l=-1.0)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [QuantumState(2, 0.1), QuantumState(1.0, 0.1), NATURAL_UNITS, SystemParams(m=2.0, l=3.0, hbar=0.5), Truncation(1e-12, 512)],
+    ids=repr,
+)
+def test_parameter_objects_keep_their_dataclass_behaviour(obj):
+    """The hash stored at construction is the generated one; equality, repr, copies and pickles are unchanged."""
+    cls = type(obj)
+    values = tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+    twin = cls(*values)
+    assert hash(obj) == hash(values) == hash(twin) and obj == twin and obj is not twin
+    assert repr(obj) == f"{cls.__name__}(" + ", ".join(f"{f.name}={v!r}" for f, v in zip(dataclasses.fields(obj), values)) + ")"
+    assert dataclasses.asdict(obj) == {f.name: v for f, v in zip(dataclasses.fields(obj), values)}
+    for other in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert type(other) is cls and other == obj and hash(other) == hash(obj) and repr(other) == repr(obj)
+    first = dataclasses.fields(obj)[0].name
+    changed = dataclasses.replace(obj, **{first: 2 * getattr(obj, first)})
+    assert changed != obj and hash(changed) == hash((2 * values[0], *values[1:]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, first, values[0])
+    assert {obj: 1}[twin] == 1
+
+
+def test_equal_states_hash_equal_across_number_types():
+    assert QuantumState(1, 0.1) == QuantumState(1.0, 0.1)
+    assert hash(QuantumState(1, 0.1)) == hash(QuantumState(1.0, 0.1))
+    assert hash(SystemParams(1, 2, 3)) == hash(SystemParams(1.0, 2.0, 3.0))
+    assert hash(Truncation(1e-14, 4096)) == hash(DEFAULT_TRUNCATION)
 
 
 def test_derived_scales_relations():
