@@ -40,8 +40,9 @@ class NonIntegrableSampleError(ValueError):
 def _keep_hash(obj, fields: tuple) -> None:
     """Store hash(fields), the frozen dataclass's own hash, for its explicit ``__hash__``.
 
-    Every per-state ``lru_cache`` lookup hashes its parameter objects, and
-    the generated ``__hash__`` builds the field tuple anew each time.
+    Every lookup of the per-state record (``wavefunction._state_constants``)
+    hashes its parameter objects, and the generated ``__hash__`` builds the
+    field tuple anew each time.
     """
     object.__setattr__(obj, "_hash", hash(fields))
 

@@ -170,7 +170,7 @@ def comb_rows(
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order!r}")
     weights = _comb_weights(state.beta, trunc)
-    uf, wf, shape = _phase_coords(x, t, state, sys)
+    uf, wf, shape = _phase_coords(x, t, state, sys, trunc)
     rows = _rows(weights, uf, wf, order)
     if order:  # cos(a + k pi/2) is -sin a, -cos a, sin a, cos a for k = 1, 2, 3, 4 mod 4
         rows *= (-1.0 if order % 4 in (1, 2) else 1.0) * (2.0 * math.pi * state.mu / sys.l) ** order

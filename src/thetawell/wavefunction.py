@@ -177,20 +177,13 @@ def _x_phase(x, state: QuantumState, sys: SystemParams):
     return math.pi * (2.0 * state.mu * x / sys.l + 1.0)
 
 
-def _axis_phases(x, t, state: QuantumState, sys: SystemParams):
-    """u = pi*(2*mu*x/l + 1) over x and w = (pi/T_mu)*t over t, each in its own shape."""
-    w_scale = math.pi / derived_scales(state, sys).T_mu
-    return _x_phase(np.asarray(x, dtype=float), state, sys), w_scale * np.asarray(t, dtype=float)
-
-
-def _phase_coords(x, t, state: QuantumState, sys: SystemParams):
+def _phase_coords(x, t, state: QuantumState, sys: SystemParams, trunc: Truncation = DEFAULT_TRUNCATION):
     """Flattened u = pi*(2*mu*x/l + 1), w = (pi/T_mu)*t, and their broadcast shape."""
+    rec = _state_constants(state, sys, trunc)
     if isinstance(x, float) and isinstance(t, float):  # the same arithmetic, unboxed
-        w_scale = math.pi / derived_scales(state, sys).T_mu
-        return np.array([_x_phase(x, state, sys)]), np.array([w_scale * t]), ()
-    u, w = np.broadcast_arrays(*_axis_phases(x, t, state, sys))
-    shape = np.shape(u)
-    return np.ravel(u), np.ravel(w), shape
+        return np.array([_x_phase(x, state, sys)]), np.array([rec.w_scale * t]), ()
+    u, w = np.broadcast_arrays(*rec.phases(x, t))
+    return np.ravel(u), np.ravel(w), u.shape
 
 
 # term x point entries of psi_jet's work array per block (256 KiB); a block
@@ -216,28 +209,67 @@ _SUM_STRIDE = 256
 _FLOAT_LOOP_MODES = 38
 
 
-@functools.lru_cache(maxsize=64)
-def _jet_table(
-    beta: float, trunc: Truncation, mu: int, l: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The psi jet's angle factors m/2, -m^2/4 and weights over positive odd m.
+class _StateConstants:
+    """What every route of one (state, sys, trunc) reads: w_scale = pi/T_mu, the rest built on first read.
 
-    Row k of the weights (orders k = 0..5) holds c_k * 2 m^k exp(-(pi*beta/4)(m^2-1)) with
-    c = (1, -kx, -kx^2, kx^3, kx^4, -kx^5) and kx = pi*mu/l: the amplitude, the
-    factor 2 that folds the harmonic -m into m, and the real factor left of
-    (i kx m)^k once the odd orders' 2i sin((u/2) m) is taken out.
-    Read-only, shared by callers.
+    A part no route reads is never built, as it may not exist: psi takes
+    theta1 where the jet's cutoff overflows (beta ~ 5e-7; the norm's at
+    1e-7) and the jet where theta1's N reads negative (beta = 100).  Two
+    threads may both build a part (no lock from Python 3.12): the same bits.
     """
-    modes = mode_table(beta / 2.0, trunc)  # weights exp(-(pi*beta/4)(m^2-1))
-    m, amp = modes.m, 2.0 * modes.w
-    kx = math.pi * mu / l
-    kx2 = kx * kx
-    c = np.array([1.0, -kx, -kx2, kx2 * kx, kx2 * kx2, -kx2 * kx2 * kx])
-    weights = c[:, None] * (amp * m ** np.arange(6)[:, None])
-    half_m, quarter_m2 = m / 2.0, m * m / -4.0
-    for arr in (half_m, quarter_m2, weights):
-        arr.flags.writeable = False
-    return half_m, quarter_m2, weights
+
+    def __init__(self, state: QuantumState, sys: SystemParams, trunc: Truncation):
+        self.state, self.sys, self.trunc = state, sys, trunc
+        self.w_scale = math.pi / derived_scales(state, sys).T_mu
+
+    def phases(self, x, t):
+        """u = pi*(2*mu*x/l + 1) over x and w = (pi/T_mu)*t over t, each in its own shape."""
+        return _x_phase(np.asarray(x, dtype=float), self.state, self.sys), self.w_scale * np.asarray(t, dtype=float)
+
+    @functools.cached_property
+    def jet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The psi jet's angle factors m/2, -m^2/4 and weights over positive odd m.
+
+        Row k of the weights (orders k = 0..5) holds c_k * 2 m^k exp(-(pi*beta/4)(m^2-1)) with
+        c = (1, -kx, -kx^2, kx^3, kx^4, -kx^5) and kx = pi*mu/l: the amplitude, the
+        factor 2 that folds the harmonic -m into m, and the real factor left of
+        (i kx m)^k once the odd orders' 2i sin((u/2) m) is taken out.
+        """
+        modes = mode_table(self.state.beta / 2.0, self.trunc)  # weights exp(-(pi*beta/4)(m^2-1))
+        m, amp = modes.m, 2.0 * modes.w
+        kx = math.pi * self.state.mu / self.sys.l
+        kx2 = kx * kx
+        c = np.array([1.0, -kx, -kx2, kx2 * kx, kx2 * kx2, -kx2 * kx2 * kx])
+        weights = c[:, None] * (amp * m ** np.arange(6)[:, None])
+        half_m, quarter_m2 = m / 2.0, m * m / -4.0
+        for arr in (half_m, quarter_m2, weights):
+            arr.flags.writeable = False
+        return half_m, quarter_m2, weights
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """l * scaled_norm_sum: the jet's bilinear forms over it are normalized."""
+        return self.sys.l * scaled_norm_sum(self.state, self.trunc)
+
+    @functools.cached_property
+    def point(self):
+        """Scalar psi's jet route in one tuple: order-0 jet rows, pi/T_mu, sqrt(norm), float rows (m/2, -m^2/4, w0) or None."""
+        half_m, quarter_m2, weights = self.jet
+        rows = None
+        if half_m.size <= _FLOAT_LOOP_MODES:
+            rows = tuple(zip(half_m.tolist(), quarter_m2.tolist(), weights[0].tolist()))
+        return half_m, quarter_m2, weights[0], self.w_scale, math.sqrt(self.norm), rows
+
+    @functools.cached_property
+    def theta1(self) -> tuple:
+        """psi's theta1 route in one tuple: mu, l, tau rate, beta, trunc, -1/sqrt(N), N = l theta[1/2, 0](0, 2i beta) from ``theta_dual``."""
+        state, sys = self.state, self.sys
+        rate = state.mu**2 * (2.0 * math.pi * sys.hbar / (sys.m * sys.l**2))
+        norm = sys.l * theta_dual(ThetaArgs(0.5, 0.0, 0.0, 2j * state.beta), self.trunc).real
+        return state.mu, sys.l, rate, state.beta, self.trunc, -1.0 / math.sqrt(norm)
+
+
+_state_constants = functools.lru_cache(maxsize=64)(_StateConstants)
 
 
 def _trig(phases, factor: np.ndarray, sin: bool = True) -> np.ndarray:
@@ -389,25 +421,24 @@ def psi_jet(
     ``_JET_BUDGET`` entries, so a grid needs no gather; an x with one
     entry per point has its trig taken per block, a smaller one once.
 
-    A t with one entry per point is the exception: its time table, cos and
-    sin of -(w/4) m^2 in the shape (2, K + 1, *w.shape), is built whole, a
-    block of entries at a time, up to ``_TIME_TABLE_BYTES`` (4 MiB), and
-    the last one built is kept, with the w it was built for, until a call on
-    other times (``_time_table``).  A call with the same mode row (the
-    state's cached ``_jet_table``) and a w of the same bits reads it, so
-    fields taken one after another on the same scattered points take their
-    time trig once.  A w with a non-finite entry is never kept; beyond the
-    cap the trig is taken per block, as for such an x.  A smaller t (a grid
-    axis, one time) is tabled anew on each call, where a lookup would cost
-    about what it saves.  No x table is kept: it would hold a second table
-    of up to the same size for the life of the process.  The one-point call
-    (one x, one t) skips the tables.
+    A t with one entry per point is the exception: its time table is built
+    whole up to ``_TIME_TABLE_BYTES`` and the last one kept for a next call
+    on the same mode row and the same bits of w (``_time_table``), so fields
+    taken one after another on the same scattered points take their time
+    trig once.  No x table is kept: it would hold a second table of up to
+    the same size for the life of the process.  The one-point call (one x,
+    one t) skips the tables.
     """
+    return _jet(x, t, _state_constants(state, sys, trunc), order)
+
+
+def _jet(x, t, rec: _StateConstants, order: int) -> np.ndarray:
+    """``psi_jet`` on the state's record (``_state_constants``), looked up once by the caller."""
     if order not in range(6):
         raise ValueError(f"order must be 0, 1, 2, 3, 4 or 5, got {order!r}")
-    _check_domain(x, sys)
-    half_m, quarter_m2, weights = _jet_table(state.beta, trunc, state.mu, sys.l)
-    u, w = _axis_phases(x, t, state, sys)
+    _check_domain(x, rec.sys)
+    half_m, quarter_m2, weights = rec.jet
+    u, w = rec.phases(x, t)
     shape = np.broadcast_shapes(u.shape, w.shape)
     u, w = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in (u, w))
     n, n_modes, size = order + 1, half_m.size, math.prod(shape)
@@ -416,9 +447,8 @@ def psi_jet(
         sums = _mode_sum([_jet_terms(_trig(u.item(), half_m, n > 1), _trig(w.item(), quarter_m2), weights, n)])
         out.real.flat, out.imag.flat = sums[:, 0], sums[:, 1]
         return out
-    # an input with fewer entries than points is tabled once, else per block;
-    # but a t with one entry per point is tabled whole up to _TIME_TABLE_BYTES,
-    # and that table kept for a next call on the same times
+    # an input with fewer entries than points is tabled once, else per block,
+    # but for a t with one entry per point _time_table decides
     x_trig = None if u.size == size else _trig(u, half_m, n > 1)
     t_trig = _trig(w, quarter_m2) if w.size < size else _time_table(w, quarter_m2)
 
@@ -498,23 +528,8 @@ def jet_forms(
     order: int = 0,
 ) -> JetForms:
     """The normalized bilinear forms of the order-``order`` psi jet at (x, t)."""
-    return JetForms(psi_jet(x, t, state, sys, trunc, order), sys.l * scaled_norm_sum(state, trunc))
-
-
-@functools.lru_cache(maxsize=64)
-def _point_constants(state: QuantumState, sys: SystemParams, trunc: Truncation):
-    """Per-state constants of scalar ``psi``: order-0 jet rows, pi/T_mu, sqrt(l * scaled_norm_sum), float rows.
-
-    The float rows are the tuples (m/2, -m^2/4, w0) of Python floats, one
-    per mode, up to ``_FLOAT_LOOP_MODES`` modes, and None above.
-    """
-    half_m, quarter_m2, weights = _jet_table(state.beta, trunc, state.mu, sys.l)
-    w_scale = math.pi / derived_scales(state, sys).T_mu
-    root = math.sqrt(sys.l * scaled_norm_sum(state, trunc))
-    rows = None
-    if half_m.size <= _FLOAT_LOOP_MODES:
-        rows = tuple(zip(half_m.tolist(), quarter_m2.tolist(), weights[0].tolist()))
-    return half_m, quarter_m2, weights[0], w_scale, root, rows
+    rec = _state_constants(state, sys, trunc)
+    return JetForms(_jet(x, t, rec, order), rec.norm)
 
 
 # psi evaluates theta1 by SL(2, Z) reduction (a few terms per point) at and
@@ -524,25 +539,10 @@ def _point_constants(state: QuantumState, sys: SystemParams, trunc: Truncation):
 _THETA1_MAX_BETA = 2e-5
 
 
-@functools.lru_cache(maxsize=64)
-def _theta1_constants(state: QuantumState, sys: SystemParams, trunc: Truncation):
-    """Per-state constants of psi's theta1 route: the tau rate, and -1/sqrt(N).
-
-    N = l theta[1/2, 0](0, 2i beta) from ``theta_dual``, a few Poisson terms
-    where the mode sum would need K ~ beta^(-1/2) of them, so this route
-    needs no cutoff at any beta.
-    """
-    rate = state.mu**2 * (2.0 * math.pi * sys.hbar / (sys.m * sys.l**2))
-    norm = sys.l * theta_dual(ThetaArgs(0.5, 0.0, 0.0, 2j * state.beta), trunc).real
-    return rate, -1.0 / math.sqrt(norm)
-
-
-def _theta1_point(
-    x: float, t: float, state: QuantumState, sys: SystemParams, trunc: Truncation
-) -> complex:
-    """psi at one in-well point: -theta1(mu x/l, tau(t)) / sqrt(N)."""
-    rate, scale = _theta1_constants(state, sys, trunc)
-    value = theta1(state.mu * x / sys.l, complex(-(rate * t), state.beta), trunc)
+def _theta1_point(x: float, t: float, route: tuple) -> complex:
+    """psi at one in-well point: -theta1(mu x/l, tau(t)) / sqrt(N), from the record's ``theta1`` tuple."""
+    mu, l, rate, beta, trunc, scale = route
+    value = theta1(mu * x / l, complex(-(rate * t), beta), trunc)
     return complex(value.real * scale, value.imag * scale)
 
 
@@ -570,30 +570,30 @@ def psi(
     per-point calls bit for bit.  Above it, the order-0 ``psi_jet`` over
     the square root of l * scaled_norm_sum, part by part (a complex array
     division rounds otherwise); there a float x and t (``np.float64``
-    too) skip the tables: one cached lookup (``_point_constants``), then
+    too) skip the tables: one read of the record's ``point`` tuple, then
     the jet's order-0 products in its order, added in ``_mode_sum``'s order
     for one point (m = 1, 3, 5, ... from -0.0 up to ``_SUM_STRIDE``
-    modes), with the same bits.  Up to ``_FLOAT_LOOP_MODES`` modes they are
-    formed in a loop over Python floats (math's cos and sin are libm's, as
-    numpy's float64 ones are), above it over the mode rows in one
-    (2, K + 1) array; a point whose angle overflows to infinity, where math
-    raises, takes the array route and its warnings, and one whose
-    w = (pi/T_mu) t is not finite takes a 0-d call, so an overflowing
-    product warns as the array call's does.  Boundary evaluations
-    return the raw series value, which cancels to the truncation floor
-    rather than being forced to exactly 0.  Broadcasts over x and t.
+    modes), with the same bits, in a loop over Python floats up to
+    ``_FLOAT_LOOP_MODES`` modes (math's cos and sin are libm's, as numpy's
+    float64 ones are) and over the mode rows in one (2, K + 1) array above;
+    a non-finite angle or w takes an array call and its warnings.  Every
+    route makes one lookup of the state's record (``_state_constants``).
+    Boundary evaluations return the raw series value, which cancels to the
+    truncation floor rather than being forced to exactly 0.  Broadcasts
+    over x and t.
     """
+    rec = _state_constants(state, sys, trunc)
     if state.beta <= _THETA1_MAX_BETA:
         _check_domain(x, sys)
         if isinstance(x, float) and isinstance(t, float):
-            return _theta1_point(x, t, state, sys, trunc)
+            return _theta1_point(x, t, rec.theta1)
         xs, ts = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
         points = zip(xs.ravel().tolist(), ts.ravel().tolist())
-        out = np.array([_theta1_point(*point, state, sys, trunc) for point in points], dtype=complex)
+        out = np.array([_theta1_point(*point, rec.theta1) for point in points], dtype=complex)
         return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
     if isinstance(x, float) and isinstance(t, float):
         _check_domain(x, sys)
-        half_m, quarter_m2, w0, w_scale, root, rows = _point_constants(state, sys, trunc)
+        half_m, quarter_m2, w0, w_scale, root, rows = rec.point
         u, wt = _x_phase(x, state, sys), w_scale * t
         if not math.isfinite(wt):  # a 0-d call, whose multiply warns where w overflows
             return psi(np.array(x), np.array(t), state, sys, trunc)
@@ -623,14 +623,12 @@ def psi(
         else:
             re, im = _mode_sum([terms[None]])[0].tolist()
         return complex(re / root, im / root)
-    theta_scaled = psi_jet(x, t, state, sys, trunc)[0]
-    root = math.sqrt(sys.l * scaled_norm_sum(state, trunc))
-    if theta_scaled.ndim == 0:
-        return complex(theta_scaled.real / root, theta_scaled.imag / root)
+    theta_scaled = _jet(x, t, rec, 0)[0]
+    root = math.sqrt(rec.norm)
     out = np.empty(theta_scaled.shape, dtype=complex)
     out.real = theta_scaled.real / root
     out.imag = theta_scaled.imag / root
-    return out
+    return complex(out) if out.ndim == 0 else out
 
 
 def stationary_psi(

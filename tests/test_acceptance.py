@@ -24,7 +24,7 @@ import tracemalloc
 import numpy as np
 
 from thetawell import cli, phase_space, series, thermo, verification, wavefunction
-from thetawell.density import averaged_density, period
+from thetawell.density import averaged_density, density, period
 from thetawell.numerics import cutoff_for
 from thetawell.phase_space import moments, velocity_field
 from thetawell.verification import comb_window_masses, run_check
@@ -358,11 +358,11 @@ LAW_GRID = (21, 11)
         ("velocity-two-path", verification, "velocity_from_vlasov", [(21, 11)]),
         # the k = 1 law and its rate on the grid; the density and its
         # derivatives at the 20 Madelung points
-        ("momentum-law", wavefunction, "psi_jet", [LAW_GRID] * 2 + [(20,)] * 2),
+        ("momentum-law", wavefunction, "_jet", [LAW_GRID] * 2 + [(20,)] * 2),
         # the k = 1 law, then the rows and their x-derivatives for the pressure gradient
         ("momentum-law", phase_space, "comb_rows", [LAW_GRID, (20,), (20,)]),
         # law and rate for k = 2 and 3, the moments, the raw moments
-        ("energy-law", wavefunction, "psi_jet", [LAW_GRID] * 6),
+        ("energy-law", wavefunction, "_jet", [LAW_GRID] * 6),
         ("energy-law", phase_space, "comb_rows", [LAW_GRID] * 2),
     ],
     ids=[
@@ -477,25 +477,42 @@ def test_cold_comb_point_allocates_no_square_array(call):
 
 
 def test_scalar_psi_looks_up_its_state_once(monkeypatch):
-    """100 float psi calls per state: one cached lookup each, and at most one build of any table.
+    """Warm calls look the state's record up once each and rebuild nothing.
 
-    The per-state constants of the point route, the float loop's rows
-    (beta = 0.037) or the mode arrays (beta = 1e-3), come from one
-    ``_point_constants`` lookup, so neither the scales, the mode table nor
-    the jet table is rebuilt or looked up per call.
+    100 float psi calls per state, on the float loop (beta = 0.037), the
+    numpy point route (1e-3) and theta1 (1e-6), then psi_jet, density, flux
+    and comb_rows on arrays and at a float point: each call makes one
+    ``_state_constants`` lookup, none calls ``derived_scales`` or
+    ``theta_dual``, and no mode table is built.
     """
-    scales = _count_calls(monkeypatch, wavefunction, "derived_scales")
-    modes = _count_calls(monkeypatch, wavefunction, "mode_table")
-    jets = _count_calls(monkeypatch, wavefunction, "_jet_table")
+    scales = []
+    real_scales = wavefunction.derived_scales
+    _replace_everywhere(monkeypatch, "derived_scales", lambda *a: scales.append(a) or real_scales(*a), home=wavefunction)
+    duals = _count_calls(monkeypatch, wavefunction, "theta_dual")
+    fields = [
+        lambda x, t, state: wavefunction.psi_jet(x, t, state, order=1),
+        density,
+        phase_space.flux,
+        series.comb_rows,
+    ]
     rng = np.random.default_rng(5)
-    for beta in (0.037, 1e-3):
+    xs, ts = rng.uniform(0.0, 1.0, size=(2, 8))
+    for beta in (0.037, 1e-3, 1e-6):
         state = QuantumState(2, beta)
         wavefunction.psi(0.5, 0.0, state)
-        for calls in (scales, modes, jets):
+        for field in fields:
+            field(xs, ts, state)
+            field(0.25, 0.5, state)
+        for calls in (scales, duals):
             calls.clear()
-        before = wavefunction._point_constants.cache_info()
+        builds = wavefunction.mode_table.cache_info().misses
+        before = wavefunction._state_constants.cache_info()
         for x, t in rng.uniform(0.0, 1.0, size=(100, 2)).tolist():
             assert type(wavefunction.psi(x, t, state)) is complex
-        after = wavefunction._point_constants.cache_info()
-        assert len(scales) <= 1 and len(modes) <= 1 and len(jets) <= 1, (beta, len(scales), len(modes), len(jets))
-        assert (after.hits + after.misses) - (before.hits + before.misses) == 100, beta
+        for field in fields:
+            field(xs, ts, state)
+            field(0.25, 0.5, state)
+        after = wavefunction._state_constants.cache_info()
+        built = wavefunction.mode_table.cache_info().misses - builds
+        assert (len(scales), len(duals), built) == (0, 0, 0), beta
+        assert (after.hits + after.misses) - (before.hits + before.misses) == 100 + 2 * len(fields), beta

@@ -333,6 +333,68 @@ def test_threads_sharing_the_kept_table_get_their_own_bits():
     assert failures == []
 
 
+def _shared_arrays(value):
+    """Every numpy array inside ``value``, through tuples, lists and dataclass-like records."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _shared_arrays(item)
+    elif hasattr(value, "__dict__"):
+        yield from _shared_arrays(list(vars(value).values()))
+
+
+def test_threads_filling_one_cold_record_get_the_serial_bits():
+    """Six threads calling psi and density on one cold state get the serial bits; shared arrays stay read-only.
+
+    The state's record builds its parts on first read, and a second thread
+    may build a part again (``functools.cached_property`` takes no lock from
+    Python 3.12 on): either build is whole and has the same bits.  A short
+    switch interval interleaves the builds often.
+    """
+    state = QuantumState(2, 0.05)
+    rng = np.random.default_rng(27)
+    xs, ts = rng.uniform(0.0, 1.0, 48), rng.uniform(0.0, period(state), 48)
+    points = list(zip(xs[:6].tolist(), ts[:6].tolist()))
+
+    def evaluate():
+        return [psi(x, t, state) for x, t in points], psi(xs, ts, state), density(xs, ts, state)
+
+    def cold():
+        wavefunction._state_constants.cache_clear()
+        wavefunction.mode_table.cache_clear()
+
+    cold()
+    wants = [_bits(v) for v in evaluate()]
+    failures = []
+    barrier = threading.Barrier(6)
+
+    def work():
+        barrier.wait()
+        for _ in range(5):
+            if not all(np.array_equal(_bits(v), want) for v, want in zip(evaluate(), wants)):
+                failures.append(threading.get_ident())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            cold()
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+            assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    record = wavefunction._state_constants(state, NATURAL_UNITS, DEFAULT_TRUNCATION)
+    shared = [record, wavefunction.mode_table(state.beta / 2.0), wavefunction._kept_time_table]
+    arrays = list(_shared_arrays(shared))
+    assert len(arrays) >= 8 and not any(arr.flags.writeable for arr in arrays)
+
+
 @pytest.mark.parametrize("beta", [0.1, 1e-3, 1e-5])
 @pytest.mark.parametrize("order", [0, 3, 5])
 def test_call_beyond_budget_equals_unsplit_bits(monkeypatch, beta, order):

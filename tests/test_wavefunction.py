@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetawell import wavefunction
 from thetawell.density import density
-from thetawell.numerics import DEFAULT_TRUNCATION, Truncation, integrate
+from thetawell.numerics import DEFAULT_TRUNCATION, Truncation, TruncationOverflowError, integrate
 from thetawell.theta import ThetaArgs, theta_char
 from mode_order import mode_order_sum
 from thetawell.wavefunction import (
@@ -22,8 +23,9 @@ from thetawell.wavefunction import (
     NATURAL_UNITS,
     QuantumState,
     SystemParams,
-    _jet_table,
+    _state_constants,
     derived_scales,
+    mode_table,
     norm_constant,
     psi,
     psi_jet,
@@ -287,7 +289,7 @@ def reference_jet0(x, t, state, sys):
     mode order (``mode_order_sum``): the reference that the
     three-transcendental table kernel must match bit for bit.
     """
-    half_m, quarter_m2, weights = _jet_table(state.beta, DEFAULT_TRUNCATION, state.mu, sys.l)
+    half_m, quarter_m2, weights = _state_constants(state, sys, DEFAULT_TRUNCATION).jet
     n_modes = half_m.size
     u = math.pi * (2.0 * state.mu * np.asarray(x, dtype=float) / sys.l + 1.0)
     w = math.pi / derived_scales(state, sys).T_mu * np.asarray(t, dtype=float)
@@ -387,3 +389,47 @@ def test_jet_entry_zero_is_the_order0_jet_at_every_order(beta):
     jet0 = psi_jet(xs[:, None], ts[None, :], state)[0]
     for k in range(1, 6):
         _assert_same_bits(psi_jet(xs[:, None], ts[None, :], state, order=k)[0], jet0)
+
+
+def _cold_state_caches():
+    """Drop every cached state record and mode table, so the next call builds them."""
+    _state_constants.cache_clear()
+    mode_table.cache_clear()
+
+
+@pytest.mark.parametrize("density_first", [False, True])
+def test_psi_below_the_jet_cutoff_builds_no_jet(density_first):
+    """At beta = 1e-7 psi (theta1) evaluates while density (the jet) overflows its cutoff, in either order.
+
+    The state's record builds each part on first read: an overflowing jet
+    or norm is never built for psi, and a failed build leaves the record
+    usable.
+    """
+    state = QuantumState(1, 1e-7)
+    points = [(0.0, 0.0), (0.3, 0.1), (0.5, 0.0), (0.77, 2.5)]
+    _cold_state_caches()
+    if density_first:
+        with pytest.raises(TruncationOverflowError):
+            density(0.3, 0.1, state)
+    want = [psi(x, t, state) for x, t in points]
+    with pytest.raises(TruncationOverflowError):
+        density(np.array([0.3, 0.5]), np.array([0.1, 0.0]), state)
+    assert all(cmath.isfinite(v) for v in want) and abs(want[2]) > 1.0
+    _assert_same_bits([psi(x, t, state) for x, t in points], want)
+    _assert_same_bits(psi(*np.array(points).T, state), want)
+
+
+@pytest.mark.parametrize("beta", [100.0, 1e3])
+def test_psi_at_large_beta_builds_no_theta1_scale(monkeypatch, beta):
+    """At beta = 100 and 1e3 psi is the jet, and never reads theta_dual, whose N there reads <= 0."""
+
+    def no_dual(*args):
+        raise AssertionError("the jet route built the theta1 scale")
+
+    monkeypatch.setattr(wavefunction, "theta_dual", no_dual)
+    state = QuantumState(2, beta)
+    _cold_state_caches()
+    value = psi(0.3, 0.1, state)
+    assert cmath.isfinite(value) and abs(value) > 0.1
+    _assert_same_bits(psi(np.array([0.3]), np.array([0.1]), state), [value])
+    assert density(0.3, 0.1, state) > 0.01
