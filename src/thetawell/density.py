@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .numerics import DEFAULT_TRUNCATION, Truncation
-from .theta import ThetaArgs, theta_dual
+from .theta import ThetaArgs, _dual, _split
 from .wavefunction import (
     NATURAL_UNITS,
     QuantumState,
@@ -151,13 +151,18 @@ def _averaged_modes(xa: np.ndarray, state: QuantumState, sys: SystemParams, trun
 def _averaged_dual(xa: np.ndarray, state: QuantumState, sys: SystemParams, trunc: Truncation):
     """``averaged_density`` from the Poisson dual of theta[1/2,0](2 mu x/l, 2i beta).
 
-    One ``theta_dual`` call takes w = 0 ahead of the points, and x/l is taken
-    first, so the walls give w = 0 and 2 mu exactly and the value there is
-    exactly 0.
+    One ``theta_dual`` call takes w = 0 ahead of the points.  The exact
+    w = 2 mu (x/l) is carried as two parts, each half of x/l's Veltkamp split
+    times 2 mu (exact for mu < 2**26), so the offsets k - w are rounded once:
+    on a Gaussian flank, where the slope is ~ mu / sqrt(beta), a rounded w
+    would cost up to its one ulp times that slope.  x/l is taken first, so
+    the walls give w = 0 and 2 mu exactly and the value there is exactly 0.
     """
-    w = xa / sys.l * (2.0 * state.mu)
-    theta = theta_dual(ThetaArgs(0.5, 0.0, np.append(0.0, w), 2j * state.beta), trunc).real
-    return (1.0 - theta[1:].reshape(w.shape) / theta[0]) / sys.l
+    hi, lo = _split(xa / sys.l)
+    two_mu = 2.0 * state.mu
+    w_hi, w_lo = (np.append(0.0, part * two_mu) for part in (hi, lo))
+    theta = _dual(ThetaArgs(0.5, 0.0, w_hi, 2j * state.beta), trunc, w_lo).real
+    return (1.0 - theta[1:].reshape(xa.shape) / theta[0]) / sys.l
 
 
 def period(state: QuantumState, sys: SystemParams = NATURAL_UNITS) -> float:

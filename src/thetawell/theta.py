@@ -64,15 +64,23 @@ def _index_window(center: float, cutoff: int) -> np.ndarray:
     return ks[order]
 
 
-def _turns(c: float, n: np.ndarray) -> np.ndarray:
-    """c * n reduced mod 1, exactly for integers |n| < 2**27.
+def _split(c):
+    """Veltkamp's split of c (a float or an array) into hi + lo, two halves of 26 significant bits.
 
-    Veltkamp's split writes c as two halves of 26 significant bits, so each
-    half times n is an exact double and p - round(p) is its exact fraction.
+    Each half times an integer below 2**27 in magnitude is an exact double.
     """
     big = c * _VELTKAMP
     hi = big - (big - c)
-    lo = c - hi
+    return hi, c - hi
+
+
+def _turns(c: float, n: np.ndarray) -> np.ndarray:
+    """c * n reduced mod 1, exactly for integers |n| < 2**27.
+
+    Each half of c's split times n is an exact double, and p - round(p) is
+    its exact fraction.
+    """
+    hi, lo = _split(c)
     p, q = hi * n, lo * n
     return (p - np.round(p)) + (q - np.round(q))
 
@@ -111,26 +119,31 @@ def theta_char(args: ThetaArgs, trunc: Truncation = DEFAULT_TRUNCATION) -> compl
     return complex(np.sum(np.exp(modulus + _TWO_PI_I * turns)))
 
 
-def _dual_terms(args: ThetaArgs, trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
+def _dual_terms(args: ThetaArgs, trunc: Truncation, w_lo=0.0) -> tuple[np.ndarray, np.ndarray]:
     """Offsets k - w and terms exp(2 pi i k a) exp(-pi (k - w)^2 / kappa) of ``theta_dual``.
 
     Shape z.shape + (2R + 1,), R = ceil(reach): point w gets the window
     k = round(w) + j, |j| <= R, ordered center-out by |k - w| (j = 0, then
     -1 and 1 in the order of their distance to w, ...).  That window holds
     every term above the tolerance, and for a scalar z off the half-integers
-    it is the window and order of the single-point sum.
+    it is the window and order of the single-point sum.  ``w_lo`` (a float
+    or an array of z's shape) is a low part of w carried apart, the point
+    being (z + b) + w_lo: the window is that sum's, and each offset is taken
+    as (k - (z + b)) - w_lo, so a w given as an exact two-part product is
+    rounded once, in the offset.
     """
     tau, z = complex(args.tau), np.asarray(args.z)
     if tau.real != 0.0 or np.any(z.imag != 0.0):
         raise ValueError(f"theta_dual needs imaginary tau and real z, got tau={tau!r}, z={args.z!r}")
-    kappa, w = tau.imag, z.real.astype(float) + args.b
+    kappa, w_hi = tau.imag, z.real.astype(float) + args.b
+    w = w_hi + w_lo
     reach = math.ceil(math.sqrt(kappa / math.pi * (math.log(1.0 / trunc.tol) + math.pi * kappa / 4.0)))
     j = np.zeros(2 * reach + 1)
     j[1::2], j[2::2] = -np.arange(1, reach + 1), np.arange(1, reach + 1)
     center = np.round(w)
     side = np.where(w > center, -1.0, 1.0)  # nearer neighbour first
     k = center[..., None] + side[..., None] * j
-    d = k - w[..., None]
+    d = (k - w_hi[..., None]) - np.asarray(w_lo)[..., None]
     return d, np.exp(-math.pi * d**2 / kappa + _TWO_PI_I * _turns(args.a, k))
 
 
@@ -151,7 +164,12 @@ def theta_dual(args: ThetaArgs, trunc: Truncation = DEFAULT_TRUNCATION):
     ``psi`` at small beta and ``partition_theta_form`` (z a scalar), and
     ``averaged_density`` and ``gibbs_sums`` at and below their switch beta.
     """
-    terms = _dual_terms(args, trunc)[1]
+    return _dual(args, trunc)
+
+
+def _dual(args: ThetaArgs, trunc: Truncation, w_lo=0.0):
+    """``theta_dual`` at the point (z + b) + w_lo, with w_lo carried apart as in ``_dual_terms``."""
+    terms = _dual_terms(args, trunc, w_lo)[1]
     total = np.add.reduce(terms, axis=-1)
     root = math.sqrt(complex(args.tau).imag)
     if total.ndim == 0:

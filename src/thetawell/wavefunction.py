@@ -191,11 +191,12 @@ def _phase_coords(x, t, state: QuantumState, sys: SystemParams, trunc: Truncatio
 # blocks measured slower on the registry: each fresh array is paged in anew
 _JET_BUDGET = 1 << 15
 
-# psi_jet keeps its last time-angle table for a t with one entry per point,
-# cos and sin of -(w/4) m^2, for a next call on the same times, when the
-# table fits in this many bytes (4 MiB): it outlives the call, so it stays a
-# few MiB against the ~40 MiB a process holds after import.  A larger one is
-# not built whole; its trig is taken per block
+# psi_jet keeps its last trig table of each angle, x and t, for an input
+# with one entry per point, for a next call on the same phases, when the
+# table of both halves (cos and sin) fits in this many bytes (4 MiB): the two
+# outlive the call, so they stay a few MiB against the ~40 MiB a process
+# holds after import.  A larger one is not built whole; its trig is taken
+# per block
 _TIME_TABLE_BYTES = 1 << 22
 
 # psi_jet adds up to this many modes (beta >= 1.6e-4) strictly in mode order
@@ -272,58 +273,75 @@ class _StateConstants:
 _state_constants = functools.lru_cache(maxsize=64)(_StateConstants)
 
 
-def _trig(phases, factor: np.ndarray, sin: bool = True) -> np.ndarray:
-    """cos and sin (or the cos alone) of phases * factor, as a (2 or 1, K + 1, *phases.shape) table.
+def _trig(phases, factor: np.ndarray, sin: bool = True, cos: bool = True, out=None) -> np.ndarray:
+    """cos and sin (or either alone) of phases * factor, as a (cos + sin, K + 1, *phases.shape) table.
 
     Taken with each phase's modes adjacent, where libm's cos and sin run
-    about twice as fast as across phases, then copied modes first.
+    about twice as fast as across phases, then copied modes first, into
+    ``out`` (a view of that shape in a larger table) where given.
     """
     if isinstance(phases, float):  # one phase: its row is the table
         ang = phases * factor
-        table = np.empty((1 + sin, factor.size))
-        np.cos(ang, out=table[0])
+        table = np.empty((cos + sin, factor.size))
+        if cos:
+            np.cos(ang, out=table[0])
         if sin:
-            np.sin(ang, out=table[1])
+            np.sin(ang, out=table[-1])
         return table
     ang = phases.reshape(-1, 1) * factor
-    table = np.empty((1 + sin, factor.size, *phases.shape))
-    rows = table.reshape(1 + sin, factor.size, -1)
-    rows[0] = np.cos(ang).T
+    table = np.empty((cos + sin, factor.size, *phases.shape)) if out is None else out
+    rows = table.reshape(cos + sin, factor.size, -1)
+    if cos:
+        rows[0] = np.cos(ang).T
     if sin:
-        rows[1] = np.sin(ang, out=ang).T
+        rows[-1] = np.sin(ang, out=ang).T
     return table
 
 
-# psi_jet's last kept time table: (quarter_m2 row, w, table), all read-only,
-# or None.  Replaced whole by one assignment, so a reader on another thread
-# sees an old entry or a new one, never a mix
-_kept_time_table = None
+# psi_jet's last kept trig table per angle: "x" for cos (and sin) of
+# (u/2) m, "t" for cos and sin of -(w/4) m^2, each (factor row, phases,
+# table), all read-only, or None.  An entry is replaced whole by one
+# assignment, so a reader on another thread sees an old entry or a new one,
+# never a mix
+_kept_tables = {"x": None, "t": None}
 
 
-def _time_table(w: np.ndarray, quarter_m2: np.ndarray):
-    """cos and sin of -(w/4) m^2 for a w with one entry per point, as a (2, K + 1, *w.shape) table.
+def _kept_table(angle: str, phases: np.ndarray, factor: np.ndarray, sin: bool = True):
+    """cos and sin (or the cos alone) of phases * factor for phases with one entry per point, as a (1 + sin, K + 1, *phases.shape) table.
 
-    None where the table would exceed ``_TIME_TABLE_BYTES``: the caller then
-    takes the trig per block.  Otherwise the table is built a block of
-    entries at a time, which bounds the transient, and kept, keyed on the
-    identity of the mode row and on the bits of w, so -0.0 and 0.0 differ;
-    a w with a non-finite entry is never kept, so its warnings recur on every
-    call.
+    None where the table of both halves would exceed ``_TIME_TABLE_BYTES``:
+    the caller then takes the trig per block.  Otherwise the table is built
+    a block of entries at a time, which bounds the transient, and kept in
+    ``_kept_tables[angle]``, keyed on the identity of the factor row and on
+    the bits of the phases, so -0.0 and 0.0 differ.  A cos-only table is
+    kept as it is; a later call on the same phases that needs the sin takes
+    the sin half alone and keeps the pair.  The old entry is dropped before
+    its replacement is built, so the two never coexist.  Phases with a
+    non-finite entry are never kept and leave the entry in place, so their
+    warnings recur on every call.
     """
-    global _kept_time_table
-    kept = _kept_time_table
-    if kept is not None and kept[0] is quarter_m2 and np.array_equal(kept[1].view(np.uint64), w.view(np.uint64)):
-        return kept[2]  # array_equal compares the shapes too
-    if 16 * quarter_m2.size * w.size > _TIME_TABLE_BYTES:
+    halves = 1 + sin
+    kept, kept_cos = _kept_tables[angle], None
+    if kept is not None and kept[0] is factor and np.array_equal(kept[1].view(np.uint64), phases.view(np.uint64)):
+        if kept[2].shape[0] >= halves:  # array_equal compares the shapes too
+            return kept[2][:halves]
+        kept_cos = kept[2][0]  # an order-0 call's cos half
+    if 16 * factor.size * phases.size > _TIME_TABLE_BYTES:
         return None
-    table = np.empty((2, quarter_m2.size, *w.shape))
-    rows, flat = table.reshape(2, quarter_m2.size, -1), w.reshape(-1)
-    step = max(1, _JET_BUDGET // quarter_m2.size)
+    keep = bool(np.isfinite(phases).all())  # phases are psi_jet's own product, not the caller's array
+    if keep:  # release the old table, here too, before the new one is built
+        _kept_tables[angle] = kept = None
+    table = np.empty((halves, factor.size, *phases.shape))
+    rows, flat = table.reshape(halves, factor.size, -1), phases.reshape(-1)
+    if kept_cos is not None:  # only the sin half is new
+        table[0] = kept_cos
+        rows = rows[1:]
+    step = max(1, _JET_BUDGET // factor.size)
     for lo in range(0, flat.size, step):
-        rows[:, :, lo : lo + step] = _trig(flat[lo : lo + step], quarter_m2)
-    if np.isfinite(w).all():  # w is psi_jet's own product, not the caller's t
-        w.flags.writeable = table.flags.writeable = False
-        _kept_time_table = (quarter_m2, w, table)
+        _trig(flat[lo : lo + step], factor, sin, kept_cos is None, rows[:, :, lo : lo + step])
+    if keep:
+        phases.flags.writeable = table.flags.writeable = False
+        _kept_tables[angle] = (factor, phases, table)
     return table
 
 
@@ -418,16 +436,19 @@ def psi_jet(
     never by a matrix product, so a grid, scattered points and one point
     give the same bits in any orientation, and entry 0 is the same at every
     order.  The products are formed per block of the broadcast shape within
-    ``_JET_BUDGET`` entries, so a grid needs no gather; an x with one
-    entry per point has its trig taken per block, a smaller one once.
+    ``_JET_BUDGET`` entries, so a grid needs no gather.
 
-    A t with one entry per point is the exception: its time table is built
-    whole up to ``_TIME_TABLE_BYTES`` and the last one kept for a next call
-    on the same mode row and the same bits of w (``_time_table``), so fields
-    taken one after another on the same scattered points take their time
-    trig once.  No x table is kept: it would hold a second table of up to
-    the same size for the life of the process.  The one-point call (one x,
-    one t) skips the tables.
+    An input with one entry per point has its table kept: x's and t's are
+    each built whole up to ``_TIME_TABLE_BYTES`` (the size of both halves)
+    and the last one of each kept for a next call on the same mode row and
+    the same bits of u or of w (``_kept_table``), so fields taken one after
+    another on the same scattered points take their trig once.  Order 0
+    builds and keeps only the cos of (u/2) m; the first call of order >= 1
+    on the same u takes only the sin and keeps the pair.  Between calls at
+    most two such tables are held, with the u and the w they were built
+    for; a larger input takes its trig per block, and an input with fewer
+    entries than points (a grid's axis) is tabled anew on each call.  The
+    one-point call (one x, one t) skips the tables.
     """
     return _jet(x, t, _state_constants(state, sys, trunc), order)
 
@@ -447,10 +468,10 @@ def _jet(x, t, rec: _StateConstants, order: int) -> np.ndarray:
         sums = _mode_sum([_jet_terms(_trig(u.item(), half_m, n > 1), _trig(w.item(), quarter_m2), weights, n)])
         out.real.flat, out.imag.flat = sums[:, 0], sums[:, 1]
         return out
-    # an input with fewer entries than points is tabled once, else per block,
-    # but for a t with one entry per point _time_table decides
-    x_trig = None if u.size == size else _trig(u, half_m, n > 1)
-    t_trig = _trig(w, quarter_m2) if w.size < size else _time_table(w, quarter_m2)
+    # an input with fewer entries than points is tabled on every call; for
+    # one with an entry per point _kept_table decides
+    x_trig = _trig(u, half_m, n > 1) if u.size < size else _kept_table("x", u, half_m, n > 1)
+    t_trig = _trig(w, quarter_m2) if w.size < size else _kept_table("t", w, quarter_m2)
 
     def chunks(idx: tuple, width: int):
         for lo in range(0, n_modes, width):

@@ -14,6 +14,7 @@ order those sums rely on.
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from mode_order import mode_order_sum
 from thetawell import wavefunction
 from thetawell.density import density, density_derivatives, period
 from thetawell.numerics import DEFAULT_TRUNCATION, cutoff_for
-from thetawell.phase_space import flux, moment_rate, moments
+from thetawell.phase_space import flux, kinetic_energy_density, moment_rate, moments
 from thetawell.wavefunction import NATURAL_UNITS, QuantumState, SystemParams, psi, psi_jet
 
 SYSTEMS = (NATURAL_UNITS, SystemParams(m=1.3, l=0.8, hbar=0.9))
@@ -116,23 +117,34 @@ def test_split_tables_equal_point_bits(order):
 
 
 def _count_trig(monkeypatch) -> dict:
-    """Record how many (entry, mode) pairs of x and of t ``psi_jet`` takes cos/sin of."""
+    """Record how many (entry, mode) pairs of x and of t ``psi_jet`` takes the cos ("x", "t") and the sin ("x.sin", "t.sin") of."""
     real = wavefunction._trig
-    taken = {"x": 0, "t": 0}
+    taken = dict.fromkeys(("x", "t", "x.sin", "t.sin"), 0)
 
-    def counted(phases, factor, sin=True):
-        taken["x" if factor[0] > 0.0 else "t"] += np.size(phases) * factor.size  # m/2 > 0 > -m^2/4
-        return real(phases, factor, sin)
+    def counted(phases, factor, sin=True, cos=True, out=None):
+        angle, pairs = "x" if factor[0] > 0.0 else "t", np.size(phases) * factor.size  # m/2 > 0 > -m^2/4
+        taken[angle] += pairs * cos
+        taken[angle + ".sin"] += pairs * sin
+        return real(phases, factor, sin, cos, out)
 
     monkeypatch.setattr(wavefunction, "_trig", counted)
     return taken
+
+
+def _reset(taken: dict) -> None:
+    taken.update(dict.fromkeys(taken, 0))
+
+
+def _drop_kept(monkeypatch) -> None:
+    """Drop both kept tables, so the next call takes its trig anew."""
+    monkeypatch.setattr(wavefunction, "_kept_tables", {"x": None, "t": None})
 
 
 @pytest.mark.parametrize("beta", [0.1, 1e-3, 1e-6])
 def test_trig_taken_once_per_entry(monkeypatch, beta):
     """Each entry of x and of t, as given, has its trig taken once per call, whatever the layout.
 
-    The kept time table is dropped before each call, so each count is one
+    Both kept tables are dropped before each call, so each count is one
     call's own; reuse across calls is pinned by the kept-table tests.
     """
     taken = _count_trig(monkeypatch)
@@ -151,20 +163,26 @@ def test_trig_taken_once_per_entry(monkeypatch, beta):
     ]
     for order in (0, 3):
         for x, t in calls:
-            taken.update(x=0, t=0)
-            monkeypatch.setattr(wavefunction, "_kept_time_table", None)  # a call on fresh times
+            _reset(taken)
+            _drop_kept(monkeypatch)  # a call on fresh points
             psi_jet(x, t, state, order=order)
-            assert taken == {"x": np.size(x) * n_modes, "t": np.size(t) * n_modes}, (order, np.shape(x), np.shape(t))
-    taken.update(x=0, t=0)
-    monkeypatch.setattr(wavefunction, "_kept_time_table", None)
+            x_pairs, t_pairs = np.size(x) * n_modes, np.size(t) * n_modes
+            want = {"x": x_pairs, "t": t_pairs, "x.sin": x_pairs if order else 0, "t.sin": t_pairs}
+            assert taken == want, (order, np.shape(x), np.shape(t))
+    _reset(taken)
+    _drop_kept(monkeypatch)
     density(xs[:, None], ts[None, :], state)
-    assert taken == {"x": xs.size * n_modes, "t": ts.size * n_modes}
+    assert taken == {"x": xs.size * n_modes, "t": ts.size * n_modes, "x.sin": 0, "t.sin": ts.size * n_modes}
 
 
 def _fresh(monkeypatch, x, t, state, order=0):
-    """psi_jet(x, t) with no kept time table to read, so its time trig is taken anew."""
-    monkeypatch.setattr(wavefunction, "_kept_time_table", None)
+    """psi_jet(x, t) with no kept table to read, so its trig is taken anew."""
+    _drop_kept(monkeypatch)
     return psi_jet(x, t, state, order=order)
+
+
+def _kept(angle: str):
+    return wavefunction._kept_tables[angle]
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.1, 1e-3])
@@ -183,7 +201,7 @@ def test_repeated_times_reuse_the_kept_table(monkeypatch, beta):
     other_x = rng.uniform(0.0, 1.0, 300)
     want = {order: _fresh(monkeypatch, xs, ts, state, order) for order in (0, 3)}
     want_other = _fresh(monkeypatch, other_x, ts, state)
-    monkeypatch.setattr(wavefunction, "_kept_time_table", None)
+    _drop_kept(monkeypatch)
     taken.update(t=0)
     psi_jet(xs, ts, state)
     assert taken["t"] == ts.size * n_modes
@@ -194,11 +212,11 @@ def test_repeated_times_reuse_the_kept_table(monkeypatch, beta):
     density(xs, ts, state), flux(xs, ts, state), density_derivatives(xs, ts, state)
     got = psi_jet(other_x, ts, state)
     assert taken["t"] == 0 and np.array_equal(_bits(got), _bits(want_other))
-    kept = wavefunction._kept_time_table
+    kept = _kept("t")
     for _ in range(2):
         taken.update(t=0)
         psi_jet(xs[None, :], ts[:16, None], state)
-        assert taken["t"] == 16 * n_modes and wavefunction._kept_time_table is kept
+        assert taken["t"] == 16 * n_modes and _kept("t") is kept
 
 
 def test_times_changed_in_place_rebuild_the_table(monkeypatch):
@@ -215,6 +233,57 @@ def test_times_changed_in_place_rebuild_the_table(monkeypatch):
     got = psi_jet(xs, ts, state)
     assert taken["t"] == ts.size * (cutoff_for(state.beta) + 1)
     assert np.array_equal(_bits(got), _bits(_fresh(monkeypatch, xs, ts, state)))
+
+
+def test_positions_changed_in_place_rebuild_the_table(monkeypatch):
+    """The key is u = pi (2 mu x/l + 1), psi_jet's own array: writing into the caller's x between calls forces a rebuild."""
+    taken = _count_trig(monkeypatch)
+    state = QuantumState(1, 0.1)
+    rng = np.random.default_rng(5)
+    xs, ts = rng.uniform(0.0, 1.0, 200), rng.uniform(0.0, period(state), 200)
+    psi_jet(xs, ts, state, order=1)
+    assert xs.flags.writeable  # the caller's array is not frozen
+    xs[17] = 0.5 * (xs[17] + 1.0)
+    xs[150] = np.nextafter(xs[150], 1.0)  # one bit
+    _reset(taken)
+    got = psi_jet(xs, ts, state, order=1)
+    assert taken["x"] == taken["x.sin"] == xs.size * (cutoff_for(state.beta) + 1)
+    assert np.array_equal(_bits(got), _bits(_fresh(monkeypatch, xs, ts, state, 1)))
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.1, 1e-3])
+def test_fields_on_one_point_set_share_the_kept_x_table(monkeypatch, beta):
+    """After ``density``, flux, density derivatives and kinetic energy density on its points take no x cos.
+
+    Order 0 keeps the cos of (u/2) m alone; the first later call of order
+    >= 1 on the same u takes the sin alone and keeps the pair, which every
+    later call reads, order 0 too.  Every result keeps its fresh-call bits.
+    """
+    taken = _count_trig(monkeypatch)
+    state = QuantumState(1, beta)
+    pairs = 300 * (cutoff_for(beta) + 1)
+    rng = np.random.default_rng(28)
+    xs, ts = rng.uniform(0.0, 1.0, 300), rng.uniform(0.0, period(state), 300)
+    fields = [
+        ("density", density),
+        ("flux", flux),
+        ("derivatives", lambda *a: np.array(density_derivatives(*a))),
+        ("kinetic", kinetic_energy_density),
+        ("density", density),
+    ]
+    want = {}
+    for name, fn in fields:
+        _drop_kept(monkeypatch)
+        want[name] = fn(xs, ts, state)
+    _drop_kept(monkeypatch)
+    for i, (name, fn) in enumerate(fields):
+        _reset(taken)
+        got = fn(xs, ts, state)
+        assert np.array_equal(_bits(got), _bits(want[name])), name
+        assert taken["x"] == (pairs if i == 0 else 0), name
+        assert taken["x.sin"] == (pairs if i == 1 else 0), name
+        assert taken["t"] == taken["t.sin"] == (pairs if i == 0 else 0), name
+    assert _kept("x")[2].shape == (2, cutoff_for(beta) + 1, 300)
 
 
 def test_signed_zero_times_are_told_apart(monkeypatch):
@@ -236,47 +305,70 @@ def test_non_finite_times_are_never_kept(bad):
     xs = np.linspace(0.1, 0.9, 8)
     ts = np.linspace(0.0, 0.1, 8)
     psi_jet(xs, ts, state)
-    kept = wavefunction._kept_time_table
+    kept = _kept("t")
     bad_ts = ts.copy()
     bad_ts[3] = bad
     for _ in range(2):
         got, caught = _recorded(psi_jet, xs, bad_ts, state)
         assert np.isnan(got[0, 3]) and np.array_equal(_bits(np.delete(got, 3, 1)), _bits(np.delete(psi_jet(xs, ts, state), 3, 1)))
         assert len(caught) == (2 if math.isinf(bad) else 0)  # cos and sin of an infinite angle
-        assert wavefunction._kept_time_table is kept
+        assert _kept("t") is kept
 
 
 def test_another_state_rebuilds_the_table(monkeypatch):
-    """Another state's mode row is another key: the same t gives that state's own table."""
+    """Another state's mode rows are another key: the same x and t give that state's own tables."""
     taken = _count_trig(monkeypatch)
     rng = np.random.default_rng(8)
     xs, ts = rng.uniform(0.0, 1.0, 100), rng.uniform(0.0, 0.1, 100)
     first, second = QuantumState(1, 0.1), QuantumState(1, 0.05)
-    psi_jet(xs, ts, first)
+    psi_jet(xs, ts, first, order=1)
     for state in (second, first):
-        want = _fresh(monkeypatch, xs, ts, state)
-        psi_jet(xs, ts, second if state is first else first)
-        taken.update(t=0)
-        got = psi_jet(xs, ts, state)
-        assert taken["t"] == ts.size * (cutoff_for(state.beta) + 1)
+        want = _fresh(monkeypatch, xs, ts, state, 1)
+        psi_jet(xs, ts, second if state is first else first, order=1)
+        _reset(taken)
+        got = psi_jet(xs, ts, state, order=1)
+        pairs = ts.size * (cutoff_for(state.beta) + 1)
+        assert taken == {"x": pairs, "t": pairs, "x.sin": pairs, "t.sin": pairs}
         assert np.array_equal(_bits(got), _bits(want))
 
 
-def test_kept_table_is_read_only():
-    """The kept mode row, w and table cannot be written, so a caller cannot corrupt a later call."""
+def test_another_systems_row_rebuilds_the_x_table(monkeypatch):
+    """Equal u bits from another system's record are another key: the x table is built anew.
+
+    With l, x and t scaled by 2, 2 and 4, u and w keep their bits and so
+    does order 0 of the jet, from m/2 rows of the same values; the key is
+    the row's identity, so a table stays with the record it was built for.
+    """
+    taken = _count_trig(monkeypatch)
+    state, wide = QuantumState(1, 0.1), SystemParams(l=2.0)
+    rng = np.random.default_rng(7)
+    xs, ts = rng.uniform(0.0, 1.0, 100), rng.uniform(0.0, period(state), 100)
+    want = psi_jet(xs, ts, state)
+    row = _kept("x")[0]
+    _reset(taken)
+    got = psi_jet(2.0 * xs, 4.0 * ts, state, wide)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert _kept("x")[0] is not row and np.array_equal(_kept("x")[0], row)
+    assert taken["x"] == xs.size * (cutoff_for(state.beta) + 1)
+
+
+def test_kept_table_is_read_only(monkeypatch):
+    """The kept mode rows, u, w and tables cannot be written, so a caller cannot corrupt a later call; order 0 keeps the x cos alone."""
     state = QuantumState(1, 0.1)
-    psi_jet(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 0.1, 5), state)
-    row, w, table = wavefunction._kept_time_table
-    assert table.shape == (2, row.size, 5) and w.shape == (5,)
-    for arr in (row, w, table):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            arr[(0,) * arr.ndim] = 1.0
+    for order in (0, 1):
+        _fresh(monkeypatch, np.linspace(0.0, 1.0, 5), np.linspace(0.0, 0.1, 5), state, order)
+        for angle, halves in (("x", 1 + order), ("t", 2)):
+            row, phases, table = _kept(angle)
+            assert table.shape == (halves, row.size, 5) and phases.shape == (5,), (order, angle)
+            for arr in (row, phases, table):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[(0,) * arr.ndim] = 1.0
 
 
 @pytest.mark.parametrize("order", [0, 3])
 def test_times_above_the_cap_keep_per_block_trig(monkeypatch, order):
-    """One t per point beyond ``_TIME_TABLE_BYTES``: trig per block, nothing kept, the same bits."""
+    """One x and one t per point beyond ``_TIME_TABLE_BYTES``: trig per block, nothing kept, the same bits."""
     state = QuantumState(1, 1e-3)
     n_modes = cutoff_for(state.beta) + 1
     rng = np.random.default_rng(9)
@@ -284,40 +376,74 @@ def test_times_above_the_cap_keep_per_block_trig(monkeypatch, order):
     want = _fresh(monkeypatch, xs, ts, state, order)
     assert 16 * n_modes * ts.size <= wavefunction._TIME_TABLE_BYTES
     monkeypatch.setattr(wavefunction, "_TIME_TABLE_BYTES", 16 * n_modes * (ts.size - 1))
-    real, sizes = wavefunction._trig, []
+    real, sizes = wavefunction._trig, {"x": [], "t": []}
 
-    def counted(phases, factor, sin=True):
-        if factor[0] < 0.0:
-            sizes.append(np.size(phases))
-        return real(phases, factor, sin)
+    def counted(phases, factor, sin=True, cos=True, out=None):
+        sizes["x" if factor[0] > 0.0 else "t"].append(np.size(phases))
+        return real(phases, factor, sin, cos, out)
 
     monkeypatch.setattr(wavefunction, "_trig", counted)
     for _ in range(2):
-        sizes.clear()
+        sizes.update(x=[], t=[])
         got = _fresh(monkeypatch, xs, ts, state, order)
         assert np.array_equal(_bits(got), _bits(want))
-        assert wavefunction._kept_time_table is None
+        assert _kept("x") is None and _kept("t") is None
         block = wavefunction._JET_BUDGET // (2 * (order + 1) * n_modes)  # the jet's own blocks, no whole table
-        assert sum(sizes) == ts.size and max(sizes) <= block < ts.size, sizes
+        for angle, taken in sizes.items():
+            assert sum(taken) == ts.size and max(taken) <= block < ts.size, (angle, taken)
+
+
+def test_a_new_point_set_never_holds_two_tables_of_one_angle():
+    """A kept table is dropped before its replacement is built: density on new points peaks below one table.
+
+    After the four beta-ladder fields on one 32,768-point set at beta = 1,
+    both kept tables hold 2 MiB each.  A ``density`` on a second set of the
+    same size builds a new x cos half (1 MiB) and time table (2 MiB), each
+    after dropping the old one, so the traced memory never rises by a whole
+    table above what it was before the call.
+    """
+    state = QuantumState(1, 1.0)
+    rng = np.random.default_rng(28)
+    first, second = (
+        (rng.uniform(0.0, 1.0, 32768), rng.uniform(0.0, period(state), 32768)) for _ in range(2)
+    )
+    table = 16 * (cutoff_for(state.beta) + 1) * 32768
+    assert table == 2 << 20 and table <= wavefunction._TIME_TABLE_BYTES
+    tracemalloc.start()
+    try:
+        density(*first, state), flux(*first, state), density_derivatives(*first, state)
+        kinetic_energy_density(*first, state)
+        assert _kept("x")[2].nbytes == _kept("t")[2].nbytes == table
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        density(*second, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < table, (peak - before) / 2**20
 
 
 def test_threads_sharing_the_kept_table_get_their_own_bits():
-    """Threads calling psi_jet on different times at once each get their own call's bits.
+    """Threads calling psi_jet on different points at once each get their own call's bits.
 
-    A reader takes the kept entry in one read, and a writer replaces it in
-    one assignment; a short switch interval interleaves the threads often.
+    Each thread takes order 0 and then order 1 on its points, so the x
+    table is built cos first and then completed with the sin while other
+    threads replace it.  A reader takes a kept entry in one read, and a
+    writer replaces it in one assignment; a short switch interval
+    interleaves the threads often.
     """
     state = QuantumState(1, 0.1)
     rng = np.random.default_rng(12)
     cases = [(rng.uniform(0.0, 1.0, 64), rng.uniform(0.0, period(state), 64)) for _ in range(4)]
-    wants = [psi_jet(x, t, state, order=1) for x, t in cases]
+    wants = [[psi_jet(x, t, state, order=k) for k in (0, 1)] for x, t in cases]
     failures = []
 
     def work(i):
         x, t = cases[i]
         for _ in range(60):
-            if not np.array_equal(_bits(psi_jet(x, t, state, order=1)), _bits(wants[i])):
-                failures.append(i)
+            for k in (0, 1):
+                if not np.array_equal(_bits(psi_jet(x, t, state, order=k)), _bits(wants[i][k])):
+                    failures.append((i, k))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -390,9 +516,9 @@ def test_threads_filling_one_cold_record_get_the_serial_bits():
         sys.setswitchinterval(interval)
     assert failures == []
     record = wavefunction._state_constants(state, NATURAL_UNITS, DEFAULT_TRUNCATION)
-    shared = [record, wavefunction.mode_table(state.beta / 2.0), wavefunction._kept_time_table]
+    shared = [record, wavefunction.mode_table(state.beta / 2.0), _kept("x"), _kept("t")]
     arrays = list(_shared_arrays(shared))
-    assert len(arrays) >= 8 and not any(arr.flags.writeable for arr in arrays)
+    assert len(arrays) >= 11 and not any(arr.flags.writeable for arr in arrays)
 
 
 @pytest.mark.parametrize("beta", [0.1, 1e-3, 1e-5])
