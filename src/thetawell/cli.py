@@ -90,8 +90,8 @@ class JobConfig:
             raise ConfigError("beta must be positive")
         if self.grid_x < 2 or self.grid_t < 2:
             raise ConfigError("grid sizes must be at least 2")
-        if not self.t_span > 0.0:
-            raise ConfigError("t-span must be positive")
+        if not (self.t_span > 0.0 and math.isfinite(self.t_span)):
+            raise ConfigError("t-span must be positive and finite")
         if not (0.0 < self.tol <= 1e-4):
             raise ConfigError("tol must lie in (0, 1e-4]")
         if min(self.m, self.l, self.hbar) <= 0.0:

@@ -193,7 +193,7 @@ _JET_BUDGET = 1 << 15
 
 # psi_jet keeps its last trig table of each angle, x and t, for an input
 # with one entry per point, for a next call on the same phases, when the
-# table of both halves (cos and sin) fits in this many bytes (4 MiB): the two
+# table of cos and sin fits in this many bytes (4 MiB): the two tables
 # outlive the call, so they stay a few MiB against the ~40 MiB a process
 # holds after import.  A larger one is not built whole; its trig is taken
 # per block
@@ -273,8 +273,8 @@ class _StateConstants:
 _state_constants = functools.lru_cache(maxsize=64)(_StateConstants)
 
 
-def _trig(phases, factor: np.ndarray, sin: bool = True, cos: bool = True, out=None) -> np.ndarray:
-    """cos and sin (or either alone) of phases * factor, as a (cos + sin, K + 1, *phases.shape) table.
+def _trig(phases, factor: np.ndarray, sin: bool = True, out=None) -> np.ndarray:
+    """cos and sin (or the cos alone) of phases * factor, as a (1 + sin, K + 1, *phases.shape) table.
 
     Taken with each phase's modes adjacent, where libm's cos and sin run
     about twice as fast as across phases, then copied modes first, into
@@ -282,63 +282,52 @@ def _trig(phases, factor: np.ndarray, sin: bool = True, cos: bool = True, out=No
     """
     if isinstance(phases, float):  # one phase: its row is the table
         ang = phases * factor
-        table = np.empty((cos + sin, factor.size))
-        if cos:
-            np.cos(ang, out=table[0])
+        table = np.empty((1 + sin, factor.size))
+        np.cos(ang, out=table[0])
         if sin:
-            np.sin(ang, out=table[-1])
+            np.sin(ang, out=table[1])
         return table
     ang = phases.reshape(-1, 1) * factor
-    table = np.empty((cos + sin, factor.size, *phases.shape)) if out is None else out
-    rows = table.reshape(cos + sin, factor.size, -1)
-    if cos:
-        rows[0] = np.cos(ang).T
+    table = np.empty((1 + sin, factor.size, *phases.shape)) if out is None else out
+    rows = table.reshape(1 + sin, factor.size, -1)
+    rows[0] = np.cos(ang).T
     if sin:
-        rows[-1] = np.sin(ang, out=ang).T
+        rows[1] = np.sin(ang, out=ang).T
     return table
 
 
-# psi_jet's last kept trig table per angle: "x" for cos (and sin) of
-# (u/2) m, "t" for cos and sin of -(w/4) m^2, each (factor row, phases,
-# table), all read-only, or None.  An entry is replaced whole by one
-# assignment, so a reader on another thread sees an old entry or a new one,
-# never a mix
+# psi_jet's last kept trig table per angle: "x" for cos and sin of (u/2) m,
+# "t" for cos and sin of -(w/4) m^2, each (factor row, phases, table), all
+# read-only, or None.  An entry is replaced whole by one assignment, so a
+# reader on another thread sees an old entry or a new one, never a mix
 _kept_tables = {"x": None, "t": None}
 
 
-def _kept_table(angle: str, phases: np.ndarray, factor: np.ndarray, sin: bool = True):
-    """cos and sin (or the cos alone) of phases * factor for phases with one entry per point, as a (1 + sin, K + 1, *phases.shape) table.
+def _kept_table(angle: str, phases: np.ndarray, factor: np.ndarray):
+    """cos and sin of phases * factor for phases with one entry per point, as a (2, K + 1, *phases.shape) table.
 
-    None where the table of both halves would exceed ``_TIME_TABLE_BYTES``:
-    the caller then takes the trig per block.  Otherwise the table is built
-    a block of entries at a time, which bounds the transient, and kept in
+    None where the table would exceed ``_TIME_TABLE_BYTES``: the caller then
+    takes the trig per block.  Otherwise the table is built a block of
+    entries at a time, which bounds the transient, and kept in
     ``_kept_tables[angle]``, keyed on the identity of the factor row and on
-    the bits of the phases, so -0.0 and 0.0 differ.  A cos-only table is
-    kept as it is; a later call on the same phases that needs the sin takes
-    the sin half alone and keeps the pair.  The old entry is dropped before
-    its replacement is built, so the two never coexist.  Phases with a
-    non-finite entry are never kept and leave the entry in place, so their
-    warnings recur on every call.
+    the bits of the phases, so -0.0 and 0.0 differ.  The old entry is
+    dropped before its replacement is built, so the two never coexist.
+    Phases with a non-finite entry are never kept and leave the entry in
+    place, so their warnings recur on every call.
     """
-    halves = 1 + sin
-    kept, kept_cos = _kept_tables[angle], None
+    kept = _kept_tables[angle]
     if kept is not None and kept[0] is factor and np.array_equal(kept[1].view(np.uint64), phases.view(np.uint64)):
-        if kept[2].shape[0] >= halves:  # array_equal compares the shapes too
-            return kept[2][:halves]
-        kept_cos = kept[2][0]  # an order-0 call's cos half
+        return kept[2]  # array_equal compares the shapes too
     if 16 * factor.size * phases.size > _TIME_TABLE_BYTES:
         return None
     keep = bool(np.isfinite(phases).all())  # phases are psi_jet's own product, not the caller's array
     if keep:  # release the old table, here too, before the new one is built
         _kept_tables[angle] = kept = None
-    table = np.empty((halves, factor.size, *phases.shape))
-    rows, flat = table.reshape(halves, factor.size, -1), phases.reshape(-1)
-    if kept_cos is not None:  # only the sin half is new
-        table[0] = kept_cos
-        rows = rows[1:]
+    table = np.empty((2, factor.size, *phases.shape))
+    rows, flat = table.reshape(2, factor.size, -1), phases.reshape(-1)
     step = max(1, _JET_BUDGET // factor.size)
     for lo in range(0, flat.size, step):
-        _trig(flat[lo : lo + step], factor, sin, kept_cos is None, rows[:, :, lo : lo + step])
+        _trig(flat[lo : lo + step], factor, out=rows[:, :, lo : lo + step])
     if keep:
         phases.flags.writeable = table.flags.writeable = False
         _kept_tables[angle] = (factor, phases, table)
@@ -376,11 +365,11 @@ def _jet_terms(x_trig: np.ndarray, rot: np.ndarray, weights: np.ndarray, n: int)
     """Terms (n, 2, modes, *points) of orders 0..n-1: ((cos or sin) W_k) times (cos, sin), in that order.
 
     ``x_trig`` holds cos (and sin) of (u/2) m, ``rot`` cos and sin of
-    -(w/4) m^2, and the odd orders take the sin.
+    -(w/4) m^2; order 0 reads the cos alone and the odd orders the sin.
     """
     shape = (weights.shape[1], *(1,) * (x_trig.ndim - 2))
     if n == 1:
-        xw = x_trig * weights[0].reshape(shape)
+        xw = x_trig[:1] * weights[0].reshape(shape)
     else:  # row pairs (even, odd order) take (cos, sin)
         r = (n + 1) // 2
         xw = weights[: 2 * r].reshape(r, 2, *shape) * x_trig
@@ -430,8 +419,9 @@ def psi_jet(
     exactly.  The angle (u/2) m depends on x alone and (w/4) m^2 on t alone,
     so their cos and sin are taken once per entry of x and of t as given
     (``_trig``), in tables with the K + 1 modes ahead of the points; order 0
-    reads only the cos of (u/2) m, three transcendentals per term.  Order k
-    is the broadcast product ((cos or sin) W_k) (cos, sin) of -(w/4) m^2,
+    reads only the cos of (u/2) m, and takes only it where the x table is
+    not kept: three transcendentals per term.  Order k is the broadcast
+    product ((cos or sin) W_k) (cos, sin) of -(w/4) m^2,
     summed over the modes row by row in one fixed order (``_mode_sum``),
     never by a matrix product, so a grid, scattered points and one point
     give the same bits in any orientation, and entry 0 is the same at every
@@ -439,16 +429,14 @@ def psi_jet(
     ``_JET_BUDGET`` entries, so a grid needs no gather.
 
     An input with one entry per point has its table kept: x's and t's are
-    each built whole up to ``_TIME_TABLE_BYTES`` (the size of both halves)
-    and the last one of each kept for a next call on the same mode row and
-    the same bits of u or of w (``_kept_table``), so fields taken one after
-    another on the same scattered points take their trig once.  Order 0
-    builds and keeps only the cos of (u/2) m; the first call of order >= 1
-    on the same u takes only the sin and keeps the pair.  Between calls at
-    most two such tables are held, with the u and the w they were built
-    for; a larger input takes its trig per block, and an input with fewer
-    entries than points (a grid's axis) is tabled anew on each call.  The
-    one-point call (one x, one t) skips the tables.
+    each built whole, cos and sin, up to ``_TIME_TABLE_BYTES`` and the last
+    one of each kept for a next call on the same mode row and the same bits
+    of u or of w (``_kept_table``), so fields taken one after another on
+    the same scattered points take their trig once, whatever their order.
+    Between calls at most two such tables are held, with the u and the w
+    they were built for; a larger input takes its trig per block, and an
+    input with fewer entries than points (a grid's axis) is tabled anew on
+    each call.  The one-point call (one x, one t) skips the tables.
     """
     return _jet(x, t, _state_constants(state, sys, trunc), order)
 
@@ -470,7 +458,7 @@ def _jet(x, t, rec: _StateConstants, order: int) -> np.ndarray:
         return out
     # an input with fewer entries than points is tabled on every call; for
     # one with an entry per point _kept_table decides
-    x_trig = _trig(u, half_m, n > 1) if u.size < size else _kept_table("x", u, half_m, n > 1)
+    x_trig = _trig(u, half_m, n > 1) if u.size < size else _kept_table("x", u, half_m)
     t_trig = _trig(w, quarter_m2) if w.size < size else _kept_table("t", w, quarter_m2)
 
     def chunks(idx: tuple, width: int):

@@ -249,12 +249,14 @@ def test_flag_beats_env_and_file(capsys, monkeypatch, tmp_path):
         ["density", "--format", "xml"],
         ["thermo", "--beta-sweep", "0.5:0.1:3"],
         ["thermo", "--beta-sweep", "a:b:3"],
+        ["velocity", "--t-span", "inf"],
+        ["density", "--t-span", "inf"],
         ["bogus"],
     ],
 )
 def test_invalid_configuration_exits_1(capsys, argv):
-    code, _, _ = run_cli(capsys, argv)
-    assert code == 1
+    code, _, err = run_cli(capsys, argv)
+    assert code == 1 and len(err.splitlines()) == 1, err
 
 
 def test_invalid_env_tol_exits_1(capsys, monkeypatch):

@@ -1,9 +1,10 @@
-"""The public surface: every exported name resolves, and star imports work."""
+"""The public surface: every exported name resolves, star imports work, and the docs name no stale private names."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -31,9 +32,11 @@ def test_submodule_all_resolves_and_star_imports(name):
     assert set(module.__all__) <= set(namespace)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
 # the benchmark reaches into the package from its own files; a rename there
 # would otherwise surface only when the benchmark runs
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+BENCH = ROOT / "bench"
 
 
 def _traced_names() -> list[str]:
@@ -83,3 +86,35 @@ def test_bench_reads_series_fields():
     ):
         missing += [f"{type(obj).__name__}.{name}" for name in names if not hasattr(obj, name)]
     assert missing == []
+
+
+# a backticked private name, `_name` or ``_name``, alone or after a module
+# (`cli._table_text`); what follows the name ([angle], a call) is ignored
+PRIVATE_NAME = re.compile(r"`(?:(\w+)\.)?(_\w*)")
+
+
+def _stale_private_names(paths) -> list[str]:
+    """Backticked private names in ``paths`` that no thetawell module (or the one named) has."""
+    modules = {name: importlib.import_module(f"thetawell.{name}") for name in SUBMODULES}
+    modules["thetawell"] = thetawell
+    stale = []
+    for path in paths:
+        for owner, name in PRIVATE_NAME.findall(path.read_text(encoding="utf-8")):
+            if owner and owner not in modules:  # float.__repr__ and the like
+                continue
+            scope = [modules[owner]] if owner else modules.values()
+            if not any(hasattr(module, name) for module in scope):
+                stale.append(f"{path.name}: {owner + '.' if owner else ''}{name}")
+    return stale
+
+
+def test_docs_name_no_stale_private_names():
+    """Every backticked ``_name`` in README.md and the package sources is an attribute of a thetawell module."""
+    paths = [ROOT / "README.md", *sorted((ROOT / "src" / "thetawell").glob("*.py"))]
+    assert _stale_private_names(paths) == []
+
+
+def test_stale_private_names_are_found(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text("`_trig` and ``_kept_table``, `cli._fmt`; `_no_such_name`, ``wavefunction._fmt``, `float.__repr__`")
+    assert _stale_private_names([doc]) == ["doc.md: _no_such_name", "doc.md: wavefunction._fmt"]

@@ -121,11 +121,11 @@ def _count_trig(monkeypatch) -> dict:
     real = wavefunction._trig
     taken = dict.fromkeys(("x", "t", "x.sin", "t.sin"), 0)
 
-    def counted(phases, factor, sin=True, cos=True, out=None):
+    def counted(phases, factor, sin=True, out=None):
         angle, pairs = "x" if factor[0] > 0.0 else "t", np.size(phases) * factor.size  # m/2 > 0 > -m^2/4
-        taken[angle] += pairs * cos
+        taken[angle] += pairs
         taken[angle + ".sin"] += pairs * sin
-        return real(phases, factor, sin, cos, out)
+        return real(phases, factor, sin, out)
 
     monkeypatch.setattr(wavefunction, "_trig", counted)
     return taken
@@ -145,7 +145,9 @@ def test_trig_taken_once_per_entry(monkeypatch, beta):
     """Each entry of x and of t, as given, has its trig taken once per call, whatever the layout.
 
     Both kept tables are dropped before each call, so each count is one
-    call's own; reuse across calls is pinned by the kept-table tests.
+    call's own; reuse across calls is pinned by the kept-table tests.  An x
+    with one entry per point has its table kept, built with the sin at
+    every order; a grid's x axis takes the sin only from order 1.
     """
     taken = _count_trig(monkeypatch)
     state = QuantumState(1, beta)
@@ -167,7 +169,8 @@ def test_trig_taken_once_per_entry(monkeypatch, beta):
             _drop_kept(monkeypatch)  # a call on fresh points
             psi_jet(x, t, state, order=order)
             x_pairs, t_pairs = np.size(x) * n_modes, np.size(t) * n_modes
-            want = {"x": x_pairs, "t": t_pairs, "x.sin": x_pairs if order else 0, "t.sin": t_pairs}
+            kept = np.size(x) == np.broadcast(x, t).size > 1
+            want = {"x": x_pairs, "t": t_pairs, "x.sin": x_pairs if order or kept else 0, "t.sin": t_pairs}
             assert taken == want, (order, np.shape(x), np.shape(t))
     _reset(taken)
     _drop_kept(monkeypatch)
@@ -253,11 +256,11 @@ def test_positions_changed_in_place_rebuild_the_table(monkeypatch):
 
 @pytest.mark.parametrize("beta", [1.0, 0.1, 1e-3])
 def test_fields_on_one_point_set_share_the_kept_x_table(monkeypatch, beta):
-    """After ``density``, flux, density derivatives and kinetic energy density on its points take no x cos.
+    """After ``density``, flux, density derivatives, kinetic energy density and an order-5 jet on its points take no trig.
 
-    Order 0 keeps the cos of (u/2) m alone; the first later call of order
-    >= 1 on the same u takes the sin alone and keeps the pair, which every
-    later call reads, order 0 too.  Every result keeps its fresh-call bits.
+    The first call, of order 0, builds and keeps the cos and the sin of
+    (u/2) m, which every later call reads, whatever its order.  Every
+    result keeps its fresh-call bits.
     """
     taken = _count_trig(monkeypatch)
     state = QuantumState(1, beta)
@@ -269,6 +272,7 @@ def test_fields_on_one_point_set_share_the_kept_x_table(monkeypatch, beta):
         ("flux", flux),
         ("derivatives", lambda *a: np.array(density_derivatives(*a))),
         ("kinetic", kinetic_energy_density),
+        ("jet5", lambda *a: psi_jet(*a, order=5)),
         ("density", density),
     ]
     want = {}
@@ -280,9 +284,8 @@ def test_fields_on_one_point_set_share_the_kept_x_table(monkeypatch, beta):
         _reset(taken)
         got = fn(xs, ts, state)
         assert np.array_equal(_bits(got), _bits(want[name])), name
-        assert taken["x"] == (pairs if i == 0 else 0), name
-        assert taken["x.sin"] == (pairs if i == 1 else 0), name
-        assert taken["t"] == taken["t.sin"] == (pairs if i == 0 else 0), name
+        want_pairs = pairs if i == 0 else 0
+        assert taken == dict.fromkeys(("x", "t", "x.sin", "t.sin"), want_pairs), name
     assert _kept("x")[2].shape == (2, cutoff_for(beta) + 1, 300)
 
 
@@ -353,13 +356,13 @@ def test_another_systems_row_rebuilds_the_x_table(monkeypatch):
 
 
 def test_kept_table_is_read_only(monkeypatch):
-    """The kept mode rows, u, w and tables cannot be written, so a caller cannot corrupt a later call; order 0 keeps the x cos alone."""
+    """The kept mode rows, u, w and tables cannot be written, so a caller cannot corrupt a later call; each table holds cos and sin at every order."""
     state = QuantumState(1, 0.1)
     for order in (0, 1):
         _fresh(monkeypatch, np.linspace(0.0, 1.0, 5), np.linspace(0.0, 0.1, 5), state, order)
-        for angle, halves in (("x", 1 + order), ("t", 2)):
+        for angle in ("x", "t"):
             row, phases, table = _kept(angle)
-            assert table.shape == (halves, row.size, 5) and phases.shape == (5,), (order, angle)
+            assert table.shape == (2, row.size, 5) and phases.shape == (5,), (order, angle)
             for arr in (row, phases, table):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
@@ -378,9 +381,9 @@ def test_times_above_the_cap_keep_per_block_trig(monkeypatch, order):
     monkeypatch.setattr(wavefunction, "_TIME_TABLE_BYTES", 16 * n_modes * (ts.size - 1))
     real, sizes = wavefunction._trig, {"x": [], "t": []}
 
-    def counted(phases, factor, sin=True, cos=True, out=None):
+    def counted(phases, factor, sin=True, out=None):
         sizes["x" if factor[0] > 0.0 else "t"].append(np.size(phases))
-        return real(phases, factor, sin, cos, out)
+        return real(phases, factor, sin, out)
 
     monkeypatch.setattr(wavefunction, "_trig", counted)
     for _ in range(2):
@@ -398,9 +401,9 @@ def test_a_new_point_set_never_holds_two_tables_of_one_angle():
 
     After the four beta-ladder fields on one 32,768-point set at beta = 1,
     both kept tables hold 2 MiB each.  A ``density`` on a second set of the
-    same size builds a new x cos half (1 MiB) and time table (2 MiB), each
-    after dropping the old one, so the traced memory never rises by a whole
-    table above what it was before the call.
+    same size builds a new x table and time table (2 MiB each), each after
+    dropping the old one, so the traced memory never rises by a whole table
+    above what it was before the call.
     """
     state = QuantumState(1, 1.0)
     rng = np.random.default_rng(28)
@@ -426,11 +429,10 @@ def test_a_new_point_set_never_holds_two_tables_of_one_angle():
 def test_threads_sharing_the_kept_table_get_their_own_bits():
     """Threads calling psi_jet on different points at once each get their own call's bits.
 
-    Each thread takes order 0 and then order 1 on its points, so the x
-    table is built cos first and then completed with the sin while other
-    threads replace it.  A reader takes a kept entry in one read, and a
-    writer replaces it in one assignment; a short switch interval
-    interleaves the threads often.
+    Each thread takes order 0 and then order 1 on its points, reading or
+    building the x table while other threads replace it.  A reader takes a
+    kept entry in one read, and a writer replaces it in one assignment; a
+    short switch interval interleaves the threads often.
     """
     state = QuantumState(1, 0.1)
     rng = np.random.default_rng(12)
